@@ -2,10 +2,11 @@
 
 A depolarizing channel of strength p replaces the transmitted qudit half
 with a uniformly random Pauli kick with probability p. Only a fraction of
-those kicks flip the digit Bob reads, so the check error sits below p:
-at d=2 the basis-averaged flip rate is p/2, at d=3 it is 2p/3. This
-script sweeps p, prints observed vs predicted rates, and flags any cell
-off by more than 3 binomial sigma.
+those kicks flip the digit Bob reads, so the check error sits below p.
+In prime dimension d each basis of the family is left alone by exactly d
+of the d^2 Paulis (identity included), so the flip rate is (d-1)/d * p:
+p/2 at d=2, 2p/3 at d=3. This script sweeps d and p, prints observed vs
+predicted rates, and flags any cell off by more than 3 binomial sigma.
 
 Usage:
     python3 scripts/noise_calibration.py [--key-length 512] [--trials 10]
@@ -16,8 +17,10 @@ import math
 
 from siftfree_qkd import ExperimentSpec, run_experiment
 
-# basis-averaged digit-flip fraction per Pauli kick, keyed by dimension
-FLIP_FRACTION = {2: 0.5, 3: 2 / 3}
+
+def flip_fraction(d: int) -> float:
+    """Basis-averaged digit-flip fraction per Pauli kick in prime dimension d."""
+    return (d - 1) / d
 
 
 def main():
@@ -29,7 +32,7 @@ def main():
 
     n = args.key_length
     print(f"{'d':>3} {'p':>6} {'observed':>9} {'predicted':>10} {'3 sigma':>8}")
-    for d in (2, 3):
+    for d in (2, 3, 5, 7):
         for p in (0.05, 0.1, 0.2, 0.3):
             spec = ExperimentSpec(
                 mode="two_party", d=d, m=2, key_length=n,
@@ -38,7 +41,7 @@ def main():
                 abort_threshold=1.0,
             )
             summary = run_experiment(spec)
-            predicted = FLIP_FRACTION[d] * p
+            predicted = flip_fraction(d) * p
             sigma = math.sqrt(predicted * (1 - predicted) / (n * args.trials))
             flag = "" if abs(summary.mean_error_rate - predicted) < 3 * sigma else "  <-- off"
             print(f"{d:>3} {p:>6.2f} {summary.mean_error_rate:>9.4f} "

@@ -5,6 +5,11 @@ two qudits, mutually unbiased basis families for prime dimension, and the
 eight-outcome entangled basis used when a third party distributes
 three-qubit states.
 
+Every constructor that protocol rounds call repeatedly is memoized by
+argument (`memo.memoized`): the objects are frozen with read-only arrays,
+so each distinct basis, operator or pair is built and validated once and
+then shared by every caller.
+
 Conventions, fixed once here and relied on everywhere else:
     omega = exp(2*pi*i/d)
     X|j> = |j+1 mod d>          (shift)
@@ -14,10 +19,11 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .memo import memoized
 from .states import (
     DimensionError,
     MeasurementBasis,
@@ -87,6 +93,7 @@ class GeneralizedPauli:
         return GeneralizedPauli(self.d, (self.a + other.a) % self.d, (self.b + other.b) % self.d)
 
 
+@memoized
 def pauli_matrix(d: int, a: int, b: int) -> UnitaryOp:
     """Matrix of Z^a X^b: |j> -> omega^(a*(j+b)) |j+b mod d>."""
     if d < 2:
@@ -101,6 +108,7 @@ def pauli_matrix(d: int, a: int, b: int) -> UnitaryOp:
     return UnitaryOp(d, mat)
 
 
+@memoized
 def computational_basis(d: int) -> MeasurementBasis:
     return MeasurementBasis(d, np.eye(d, dtype=np.complex128))
 
@@ -119,12 +127,16 @@ class MubFamily:
 
     bases[0] is computational; unitaries[i] maps the computational basis
     onto bases[i] (so unitaries[0] is the identity and unitaries[i] column j
-    is basis-i vector j).
+    is basis-i vector j). inverses[i] undoes unitaries[i]; transposes[i]
+    applied to one half of a canonical pair equals unitaries[i] applied to
+    the other half. Both are built once, with the family, for rounds to share.
     """
 
     d: int
     bases: tuple[MeasurementBasis, ...]
     unitaries: tuple[UnitaryOp, ...]
+    inverses: tuple[UnitaryOp, ...] = field(init=False, repr=False)
+    transposes: tuple[UnitaryOp, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.bases) != len(self.unitaries):
@@ -135,8 +147,13 @@ class MubFamily:
                 overlap_sq = np.abs(b1.vectors.conj() @ b2.vectors.T) ** 2
                 if np.abs(overlap_sq - 1.0 / d).max() > NORM_TOL:
                     raise DimensionError("bases are not mutually unbiased")
+        object.__setattr__(self, "inverses", tuple(u.inverse() for u in self.unitaries))
+        object.__setattr__(
+            self, "transposes", tuple(UnitaryOp(u.dim, u.matrix.T) for u in self.unitaries)
+        )
 
 
+@memoized
 def mub_family(d: int, m: int) -> MubFamily:
     """First m members of a full mutually unbiased family in prime dimension d.
 
@@ -183,6 +200,7 @@ class BellBasis(MeasurementBasis):
         return divmod(index, self.d)
 
 
+@memoized
 def bell_basis(d: int) -> BellBasis:
     if d < 2:
         raise DimensionError("Bell basis needs d >= 2")
@@ -197,11 +215,13 @@ def bell_basis(d: int) -> BellBasis:
     return BellBasis(d * d, vecs, d)
 
 
+@memoized
 def bell_pair(d: int, labels: tuple[str, str] = ("A", "B")) -> StateVector:
     """The (0, 0) maximally entangled pair (1/sqrt d) sum_j |j>|j>."""
     return StateVector(labels, (d, d), bell_basis(d).vectors[0])
 
 
+@memoized
 def ghz_state(labels: tuple[str, str, str] = ("C", "A", "B")) -> StateVector:
     """(|000> + |111>)/sqrt(2) over three qubits."""
     amps = np.zeros(8, dtype=np.complex128)
@@ -212,6 +232,7 @@ def ghz_state(labels: tuple[str, str, str] = ("C", "A", "B")) -> StateVector:
 GHZ_OUTCOME_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
+@memoized
 def ghz_basis() -> MeasurementBasis:
     """Eight-outcome entangled basis of three qubits.
 

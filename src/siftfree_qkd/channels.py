@@ -7,7 +7,7 @@ entangled state on its way to the receiver:
     Depolarizing(p)   with probability p, apply one of the d^2 generalized
                       Paulis (identity included) chosen uniformly; sampled
                       per transmission, trajectory style
-    Loss(p)           with probability p the carrier vanishes and the
+    Loss(p)           with probability p < 1 the carrier vanishes and the
                       session retransmits a fresh one
     SubstitutedAttack the eavesdropper keeps the real half and hands the
                       receiver one half of her own entangled pair
@@ -109,8 +109,9 @@ class Loss:
     kind: str = field(default="loss", init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise DimensionError(f"loss probability {self.p} outside [0, 1]")
+        # p = 1 would lose every carrier and retransmit forever.
+        if not 0.0 <= self.p < 1.0:
+            raise DimensionError(f"loss probability {self.p} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -316,9 +317,8 @@ def attack_report(key_result, eve_decoded_digits=None) -> AttackReport:
     """
     alice = np.asarray(key_result.alice_digits)
     bob = np.asarray(key_result.bob_digits)
-    key_pos = [
-        r for r in range(len(alice)) if r not in set(key_result.check_positions)
-    ]
+    checks = set(key_result.check_positions)
+    key_pos = [r for r in range(len(alice)) if r not in checks]
     key_pos = [r for r in key_pos if alice[r] >= 0 and bob[r] >= 0]
     if not key_pos:
         raise DimensionError("session holds no comparable key positions")

@@ -99,6 +99,11 @@ class ExperimentSpec:
             raise ConfigError("hops must be >= 1")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ConfigError("noise-p must lie in [0, 1]")
+        if self.channel_kind == "loss" and self.noise_p == 1.0:
+            raise ConfigError(
+                "noise-p must be below 1 for the loss channel: every carrier "
+                "would be lost and retransmitted forever"
+            )
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ from .rng import Rng
 from .states import (
     NORM_TOL,
     StateVector,
-    UnitaryOp,
     apply_unitary,
     basis_state,
     factor,
@@ -362,6 +361,12 @@ def _draw_check_positions(rng: Rng, total: int, count: int) -> tuple[int, ...]:
     return tuple(sorted(int(x) for x in rng.subset(total, count)))
 
 
+def _unchecked_slots(total: int, checks: Sequence[int]) -> list[int]:
+    """Rounds 0..total-1 that are not check positions, in order."""
+    check_set = set(checks)
+    return [r for r in range(total) if r not in check_set]
+
+
 def _compare_digits(
     alice_vals: Sequence[int],
     bob_vals: Sequence[int],
@@ -435,7 +440,7 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
         digit, post = _measure_digit(
             receiver_states[r],
             "B",
-            fam.unitaries[rotations[r]].inverse(),
+            fam.inverses[rotations[r]],
             shifts[r],
             brng.child(r),
         )
@@ -447,7 +452,7 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
         eve_digits = []
         for r in range(total):
             reg = eve_regs[r][0]
-            unrot = fam.unitaries[rotations[r]].inverse() if decode_rule == "protocol" else None
+            unrot = fam.inverses[rotations[r]] if decode_rule == "protocol" else None
             digit, _ = _measure_digit(post_states[r], reg, unrot, shifts[r], erng.child(r))
             eve_digits.append(digit)
 
@@ -460,7 +465,7 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     error_rate, aborted = _compare_digits(alice_checks, bob_checks, config.abort_threshold)
     _decision_message(transcript, ALICE, aborted)
 
-    key_slots = [r for r in range(total) if r not in set(checks)]
+    key_slots = _unchecked_slots(total, checks)
     alice_key = () if aborted else tuple(secrets[r] for r in key_slots)
     bob_key = () if aborted else tuple(bob_digits[r] for r in key_slots)
     return KeyResult(
@@ -532,7 +537,7 @@ def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     expected: list[int] = []
     for (r, (basis_idx, mapping)) in zip(checks, picked):
         a_out, post, _ = measure(states[r], ["A"], fam.bases[basis_idx], arng.child(r))
-        post = apply_unitary(post, fam.unitaries[rotations[r]].inverse(), ["B"])
+        post = apply_unitary(post, fam.inverses[rotations[r]], ["B"])
         b_out, _, _ = measure(post, ["B"], fam.bases[basis_idx], brng.child(r))
         alice_outcomes.append(a_out)
         bob_outcomes.append(b_out)
@@ -553,7 +558,7 @@ def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     bob_digits = [-1] * total
     eve_digits: Optional[list[int]] = [-1] * total if decode_rule is not None else None
     recycled = 0
-    survivors = [r for r in range(total) if r not in set(checks)]
+    survivors = _unchecked_slots(total, checks)
 
     if aborted:
         return KeyResult(
@@ -580,13 +585,13 @@ def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
         recycled += 1
         alice_digits[r] = secrets[r]
         digit, post_rest = _measure_digit(
-            rest, "B", fam.unitaries[rotations[r]].inverse(), l, brng.child(r)
+            rest, "B", fam.inverses[rotations[r]], l, brng.child(r)
         )
         bob_digits[r] = digit
         if eve_digits is not None:
             reg = eve_regs[r][0]
             unrot = (
-                fam.unitaries[rotations[r]].inverse()
+                fam.inverses[rotations[r]]
                 if decode_rule == "protocol"
                 else None
             )
@@ -692,13 +697,13 @@ def run_third_party(
     signs: list[int] = []
     recycled = 0
     pairs: list[StateVector] = []
+    flying = tensor(
+        [
+            apply_unitary(basis_state(2, 0, "C1"), hadamard, ["C1"]),
+            apply_unitary(basis_state(2, 0, "C2"), hadamard, ["C2"]),
+        ]
+    )
     for r in range(total):
-        flying = tensor(
-            [
-                apply_unitary(basis_state(2, 0, "C1"), hadamard, ["C1"]),
-                apply_unitary(basis_state(2, 0, "C2"), hadamard, ["C2"]),
-            ]
-        )
         joint = tensor([flying, states[r]])
         outcome, post, _ = measure(joint, ["C1", "C2", "C"], triple_basis, grng.child(r))
         residual, rest = factor(post, ["C1", "C2", "C"])
@@ -744,7 +749,7 @@ def run_third_party(
     alice_digits = [-1] * total
     bob_digits = [-1] * total
     eve_digits: Optional[list[int]] = [-1] * total if decode_rule is not None else None
-    survivors = [r for r in range(total) if r not in set(checks)]
+    survivors = _unchecked_slots(total, checks)
 
     if aborted:
         return KeyResult(
@@ -765,8 +770,7 @@ def run_third_party(
     for r in survivors:
         # Rotating the sender's own half by the transposed unitary equals
         # rotating the receiver-bound half, so the standard flow applies.
-        rot = fam.unitaries[rotations[r]]
-        rotated = apply_unitary(pairs[r], UnitaryOp(rot.dim, rot.matrix.T), ["A"])
+        rotated = apply_unitary(pairs[r], fam.transposes[rotations[r]], ["A"])
         joint = tensor([basis_state(d, secrets[r], "A_in"), rotated])
         outcome, post, _ = measure(joint, ["A_in", "A"], bb, trng.child(r))
         k, l = bb.kl(outcome)
@@ -775,7 +779,7 @@ def run_third_party(
         _, rest = factor(post, ["A_in", "A"])
         alice_digits[r] = secrets[r]
         digit, post_rest = _measure_digit(
-            rest, "B", fam.unitaries[rotations[r]].inverse(), l, brng.child(r)
+            rest, "B", fam.inverses[rotations[r]], l, brng.child(r)
         )
         bob_digits[r] = digit
         if eve_digits is not None:
@@ -784,7 +788,7 @@ def run_third_party(
             if trusted and masks_b[r] and isinstance(config.channel, SubstitutedAttack):
                 scratch = apply_unitary(scratch, hadamard, [reg])
             unrot = (
-                fam.unitaries[rotations[r]].inverse()
+                fam.inverses[rotations[r]]
                 if decode_rule == "protocol"
                 else None
             )
@@ -919,7 +923,7 @@ def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
         digit, post = _measure_digit(
             state,
             carrier_labels[r],
-            fam.unitaries[rotations[r]].inverse(),
+            fam.inverses[rotations[r]],
             0,
             brng.child(r),
         )
@@ -942,7 +946,7 @@ def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
                     state, pauli_matrix(d, k_sum, (-l_sum) % d), [labels[0]]
                 )
                 state = apply_unitary(
-                    state, fam.unitaries[rotations[r]].inverse(), [labels[0]]
+                    state, fam.inverses[rotations[r]], [labels[0]]
                 )
                 shift = 0
             else:
@@ -959,7 +963,7 @@ def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
     error_rate, aborted = _compare_digits(alice_checks, bob_checks, base.abort_threshold)
     _decision_message(transcript, ALICE, aborted)
 
-    key_slots = [r for r in range(total) if r not in set(checks)]
+    key_slots = _unchecked_slots(total, checks)
     alice_key = () if aborted else tuple(secrets[r] for r in key_slots)
     bob_key = () if aborted else tuple(bob_digits[r] for r in key_slots)
     return KeyResult(

@@ -11,6 +11,13 @@ a canonical phase behind the caller's back. Only `fidelity` is phase-blind.
 Model limits: pure states only, dense storage, total dimension capped at
 MAX_AMPLITUDES. Mixed states are handled by the callers via trajectory
 sampling, not density matrices.
+
+`measure` answers a repeat of an exact input (same labels, dimensions,
+amplitude bytes, targets and basis object) from a bounded table: the stored
+Born probabilities are the ones the engine computed, so the random stream
+sees the same floats and picks the same outcome, and each post-measurement
+state is built and validated once. `measure_memo_stats` reports how the
+table did.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .memo import MemoStats, MemoTable
 from .rng import Rng
 
 __all__ = [
@@ -39,6 +47,8 @@ __all__ = [
     "apply_unitary",
     "measure",
     "measure_forced",
+    "measure_memo_stats",
+    "MEASURE_MEMO_LIMIT",
     "fidelity",
     "factor",
     "relabel",
@@ -50,6 +60,15 @@ NORM_TOL = 1e-9
 ZERO_PROB = 1e-12
 # Dense-storage cap on the total amplitude count of any one state.
 MAX_AMPLITUDES = 2**16
+# Size limit of the measurement memo, in units of one complex128 amplitude
+# (16 bytes), so 2**14 is 256 KiB. An entry is charged for the amplitudes it
+# keeps alive plus MEASURE_MEMO_ENTRY_COST for its Python objects (measured
+# at about 0.8 KiB). Protocol rounds revisit a small set of states (prime-d
+# rotations are Clifford and channel kicks are Paulis, so every state is a
+# stabilizer state), but noisy multi-hop runs at large d mostly do not
+# repeat, and a larger table then only costs memory.
+MEASURE_MEMO_LIMIT = 2**14
+MEASURE_MEMO_ENTRY_COST = 64
 
 
 class LabelError(ValueError):
@@ -275,6 +294,9 @@ def _collapse(
     return _rebuild(state, axes, shape, full)
 
 
+_measure_memo = MemoTable(MEASURE_MEMO_LIMIT)
+
+
 def measure(
     state: StateVector,
     targets: Sequence[str],
@@ -284,12 +306,37 @@ def measure(
     """Projective measurement of the target group in `basis`.
 
     Returns (outcome_index, post_state, probability). The post state keeps
-    the targets, collapsed onto the outcome vector.
+    the targets, collapsed onto the outcome vector. Exactly one draw is
+    taken from `rng`, whether or not the input was seen before.
     """
-    branch, probs, axes, shape = _outcome_amplitudes(state, targets, basis)
+    targets = tuple(targets)
+    # Bases compare by identity, and the key's reference keeps the basis
+    # alive, so a recycled id can never alias an entry. Both kinds of entry
+    # keep two state-sized arrays alive: the key bytes plus the branches, or
+    # the key bytes plus the post-state.
+    key = (state.labels, state.dims, state.amps.tobytes(), targets, basis)
+    cost = 2 * state.amps.size + MEASURE_MEMO_ENTRY_COST
+    born = _measure_memo.get(key)
+    if born is None:
+        born = _outcome_amplitudes(state, targets, basis)
+        _measure_memo.put(key, born, cost)
+    branch, probs, axes, shape = born
     outcome = rng.pick(probs)
-    post = _collapse(state, basis, branch[outcome], probs[outcome], outcome, axes, shape)
+    post = _measure_memo.get((key, outcome))
+    if post is None:
+        post = _collapse(state, basis, branch[outcome], probs[outcome], outcome, axes, shape)
+        _measure_memo.put((key, outcome), post, cost)
     return outcome, post, float(probs[outcome])
+
+
+def measure_memo_stats() -> MemoStats:
+    """Counters of the measurement memo since the process started.
+
+    Each measurement makes two lookups, one for the outcome distribution and
+    one for the post-state of the outcome drawn. `held` is in the units of
+    MEASURE_MEMO_LIMIT and never exceeds it.
+    """
+    return _measure_memo.stats()
 
 
 def measure_forced(

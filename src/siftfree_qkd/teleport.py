@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bases import bell_basis, ghz_basis, pauli_matrix
+from .memo import memoized
 from .rng import Rng
 from .states import (
     DimensionError,
@@ -106,6 +107,12 @@ def correction_op(d: int, k: int, l: int) -> UnitaryOp:
     return pauli_matrix(d, k % d, (-l) % d)
 
 
+@memoized
+def _recycle_fix(d: int, k: int, l: int) -> UnitaryOp:
+    """X^(-l) Z^(-k), the second-qudit fix-up after outcome (k, l)."""
+    return pauli_matrix(d, 0, (-l) % d) @ pauli_matrix(d, (-k) % d, 0)
+
+
 def recycle(residual: StateVector, k: int, l: int) -> StateVector:
     """Restore a collapsed sender pair to the canonical (0, 0) pair.
 
@@ -115,8 +122,7 @@ def recycle(residual: StateVector, k: int, l: int) -> StateVector:
     if len(residual.labels) != 2 or residual.dims[0] != residual.dims[1]:
         raise DimensionError("residual must be a pair of equal-dimension qudits")
     d = residual.dims[0]
-    fix = pauli_matrix(d, 0, (-l) % d) @ pauli_matrix(d, (-k) % d, 0)
-    return apply_unitary(residual, fix, [residual.labels[1]])
+    return apply_unitary(residual, _recycle_fix(d, k % d, l % d), [residual.labels[1]])
 
 
 def _check_ghz_args(flying: StateVector, ghz: StateVector) -> list[str]:

@@ -33,6 +33,8 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         Loss(-0.1)
     with pytest.raises(ValueError):
+        Loss(1.0)
+    with pytest.raises(ValueError):
         EveStrategy(decode="telepathy")
 
 

@@ -34,6 +34,8 @@ def test_spec_validation():
         ExperimentSpec(mode="chain", hops=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(mode="two_party", noise_p=1.2)
+    with pytest.raises(ConfigError, match="loss"):
+        ExperimentSpec(mode="two_party", channel_kind="loss", noise_p=1.0)
 
 
 def test_build_channel_kinds():
@@ -210,6 +212,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 3
     assert main(["--out", str(tmp_path / "no" / "such" / "dir" / "x.json")]) == 3
     capsys.readouterr()
+
+
+def test_cli_rejects_certain_loss_before_running(monkeypatch, capsys):
+    # Every carrier would be lost and retransmitted forever.
+    def no_session(spec):
+        raise AssertionError("a session was started")
+
+    monkeypatch.setattr("siftfree_qkd.cli.run_experiment", no_session)
+    assert main(["--mode", "two_party", "--channel", "loss", "--noise-p", "1.0"]) == 2
+    assert "noise-p" in capsys.readouterr().err
 
 
 def test_cli_transcript_flag(tmp_path):

@@ -1,0 +1,207 @@
+"""Memoized constructors and the measurement memo leave every output unchanged."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import siftfree_qkd
+from siftfree_qkd import (
+    ChainConfig,
+    Depolarizing,
+    MeasurementBasis,
+    Rng,
+    SessionConfig,
+    apply_unitary,
+    bell_basis,
+    bell_pair,
+    computational_basis,
+    fourier_basis,
+    ghz_basis,
+    ghz_state,
+    measure,
+    measure_forced,
+    mub_family,
+    pauli_matrix,
+    run_chain,
+)
+from siftfree_qkd.cli import main
+from siftfree_qkd.memo import MemoTable
+from siftfree_qkd.states import (
+    MEASURE_MEMO_ENTRY_COST,
+    MEASURE_MEMO_LIMIT,
+    measure_memo_stats,
+)
+
+from test_states import random_state
+
+
+def _assert_read_only(arr):
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.parametrize(
+    "build, arrays",
+    [
+        (lambda: pauli_matrix(3, 1, 2), lambda op: [op.matrix]),
+        (lambda: computational_basis(5), lambda b: [b.vectors]),
+        (lambda: bell_basis(3), lambda b: [b.vectors]),
+        (lambda: bell_pair(3, ("A", "B")), lambda s: [s.amps]),
+        (lambda: ghz_basis(), lambda b: [b.vectors]),
+        (lambda: ghz_state(("C", "A", "B")), lambda s: [s.amps]),
+        (
+            lambda: mub_family(5, 3),
+            lambda f: [b.vectors for b in f.bases]
+            + [u.matrix for u in f.unitaries + f.inverses + f.transposes],
+        ),
+    ],
+)
+def test_constructor_repeat_returns_same_frozen_object(build, arrays):
+    first = build()
+    assert build() is first
+    for arr in arrays(first):
+        _assert_read_only(arr)
+
+
+def test_constructor_with_unhashable_argument_still_works():
+    pair = bell_pair(2, ["A", "B"])
+    assert pair.labels == ("A", "B")
+    np.testing.assert_array_equal(pair.amps, bell_pair(2, ("A", "B")).amps)
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 4), (5, 2)])
+def test_mub_family_derived_operators(d, m):
+    fam = mub_family(d, m)
+    pair = bell_pair(d, ("A", "B"))
+    for u, inv, tr in zip(fam.unitaries, fam.inverses, fam.transposes):
+        np.testing.assert_array_equal(inv.matrix, u.matrix.conj().T)
+        np.testing.assert_allclose(
+            apply_unitary(pair, tr, ["A"]).amps,
+            apply_unitary(pair, u, ["B"]).amps,
+            atol=1e-12,
+        )
+
+
+def _check_every_outcome(state, targets, basis):
+    """Measure until every outcome has come up; each must match the oracle.
+
+    The first call fills the memo, every later one is answered from it.
+    Returns the number of measurements made.
+    """
+    forced = [measure_forced(state, targets, basis, j) for j in range(basis.dim)]
+    probs = [p for _, p in forced]
+    before = measure_memo_stats()
+    seen = set()
+    calls = 0
+    while len(seen) < basis.dim:
+        rng = Rng(calls)
+        outcome, post, prob = measure(state, targets, basis, rng)
+        twin = Rng(calls)
+        assert twin.pick(probs) == outcome
+        assert twin.random() == rng.random()  # measure took exactly one draw
+        ref_post, ref_prob = forced[outcome]
+        assert prob == ref_prob
+        assert post.labels == ref_post.labels
+        np.testing.assert_array_equal(post.amps, ref_post.amps)
+        seen.add(outcome)
+        calls += 1
+    hits = measure_memo_stats().hits - before.hits
+    assert hits == (calls - 1) + (calls - basis.dim)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_memo_hit_matches_forced_measurement_for_every_outcome(seed):
+    state = random_state(("A", "B", "C"), (3, 2, 3), seed)
+    assert _check_every_outcome(state, ["A", "C"], bell_basis(3)) > 9
+    assert _check_every_outcome(state, ["B"], fourier_basis(2)) > 2
+
+
+def test_memo_keys_on_the_basis_object_not_its_id():
+    state = random_state(("A",), (2,), 7)
+    for trial in range(3):
+        angle = 0.3 + trial
+        vecs = np.array(
+            [[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]]
+        )
+        basis = MeasurementBasis(2, vecs)
+        outcome, post, prob = measure(state, ["A"], basis, Rng(trial))
+        ref_post, ref_prob = measure_forced(state, ["A"], basis, outcome)
+        assert prob == ref_prob
+        np.testing.assert_array_equal(post.amps, ref_post.amps)
+        del basis
+
+
+def test_memo_table_evicts_least_recently_used():
+    table = MemoTable(10)
+    table.put("a", 1, 4)
+    table.put("b", 2, 4)
+    assert table.get("a") == 1  # "b" is now the oldest
+    table.put("c", 3, 4)
+    assert table.get("b") is None
+    assert table.get("a") == 1 and table.get("c") == 3
+    table.put("huge", 4, 11)  # larger than the whole limit: not kept
+    assert table.get("huge") is None
+    stats = table.stats()
+    assert (stats.hits, stats.misses, stats.evictions) == (3, 2, 1)
+    assert (stats.entries, stats.held) == (2, 8)
+
+
+def test_measure_memo_stays_within_limit_after_chain_d7():
+    before = measure_memo_stats()
+    cfg = ChainConfig(
+        base=SessionConfig(
+            d=7, m=3, key_length=8, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
+        ),
+        hops=3,
+    )
+    run_chain(cfg)
+    after = measure_memo_stats()
+    assert after.evictions > before.evictions  # the run did fill the table
+    assert after.held <= MEASURE_MEMO_LIMIT
+    assert after.entries <= MEASURE_MEMO_LIMIT // MEASURE_MEMO_ENTRY_COST
+
+
+_WARM_UP = [
+    ["--mode", "chain", "--d", "5", "--m", "3", "--n", "6", "--hops", "2",
+     "--channel", "depolarizing", "--noise-p", "0.2", "--threshold", "1"],
+    ["--mode", "third_party_trusted", "--n", "6", "--channel", "purified", "--threshold", "1"],
+    ["--mode", "pre_check", "--d", "3", "--n", "6", "--channel", "loss", "--noise-p", "0.3"],
+    ["--mode", "two_party", "--d", "2", "--n", "6", "--channel", "substituted"],
+]
+_SPEC = [
+    "--mode", "two_party", "--d", "3", "--n", "12", "--trials", "2", "--seed", "9",
+    "--channel", "substituted",
+]
+
+
+def _outputs(directory):
+    return {name: (directory / name).read_bytes() for name in ("s.json", "t.csv", "tr.txt")}
+
+
+def _file_flags(directory):
+    return [
+        "--out", str(directory / "s.json"), "--csv", str(directory / "t.csv"),
+        "--transcript", str(directory / "tr.txt"),
+    ]
+
+
+def test_warm_caches_give_byte_identical_outputs(tmp_path, capsys):
+    cold = tmp_path / "cold"
+    warm = tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(siftfree_qkd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-m", "siftfree_qkd.cli", *_SPEC, *_file_flags(cold)],
+        env=env, check=True, capture_output=True,
+    )
+    for argv in _WARM_UP:
+        assert main(argv + ["--out", str(tmp_path / "warm_up.json")]) == 0
+    assert main(_SPEC + _file_flags(warm)) == 0
+    capsys.readouterr()
+    assert _outputs(warm) == _outputs(cold)
