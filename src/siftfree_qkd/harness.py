@@ -11,7 +11,7 @@ with 17 significant digits, which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -150,15 +150,16 @@ def _trial_seed(master_seed: int, trial: int) -> int:
 
 
 def _session_config(spec: ExperimentSpec, trial: int) -> SessionConfig:
-    return SessionConfig(
+    config = SessionConfig(
         d=spec.d,
         m=spec.m,
         key_length=spec.key_length,
         abort_threshold=spec.abort_threshold,
         check_mode="pre_measurement" if spec.mode == "pre_check" else "final_digits",
         seed=_trial_seed(spec.master_seed, trial),
-        channel=build_channel(spec.channel_kind, spec.noise_p, spec.d),
     )
+    # Validated first: the purified coupling alone is a d^2 x d^2 matrix.
+    return replace(config, channel=build_channel(spec.channel_kind, spec.noise_p, spec.d))
 
 
 def _run_trial(spec: ExperimentSpec, trial: int) -> KeyResult:
@@ -208,9 +209,12 @@ def _trial_record(spec: ExperimentSpec, trial: int, result: KeyResult) -> TrialR
 def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     """Run every trial, aggregate, and write the configured output files."""
     records = []
+    transcript = ""
     for trial in range(spec.trials):
         result = _run_trial(spec, trial)
         records.append(_trial_record(spec, trial, result))
+        if trial == 0 and spec.transcript_path:
+            transcript = serialize_transcript(result.transcript)
     errors = np.array([rec.error_rate for rec in records], dtype=np.float64)
     summary = ExperimentSummary(
         spec=spec,
@@ -227,7 +231,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentSummary:
     if spec.csv_path:
         _write_text(spec.csv_path, summary_csv(summary))
     if spec.transcript_path:
-        _write_text(spec.transcript_path, emit_transcript(spec, 0))
+        _write_text(spec.transcript_path, transcript)
     return summary
 
 

@@ -26,17 +26,15 @@ line format, so runs are byte-for-byte reproducible from their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bases import (
     MubFamily,
-    bell_basis,
     bell_pair,
     computational_basis,
-    ghz_basis,
-    ghz_recycle_ops,
     ghz_state,
     is_prime,
     mub_family,
@@ -52,17 +50,18 @@ from .channels import (
 )
 from .rng import Rng
 from .states import (
+    MAX_AMPLITUDES,
     NORM_TOL,
     StateVector,
+    UnitaryOp,
     apply_unitary,
     basis_state,
     factor,
-    fidelity,
     measure,
     measure_forced,
     tensor,
 )
-from .teleport import recycle
+from .teleport import correction_op, teleport, teleport_ghz, verify_recycle
 
 __all__ = [
     "ConfigError",
@@ -175,7 +174,7 @@ def parse_transcript(text: str) -> tuple[ClassicalMessage, ...]:
 class SessionConfig:
     """Parameters of one key distribution session.
 
-    d: prime carrier dimension (dits of the key).
+    d: prime carrier dimension (dits of the key), d**3 <= MAX_AMPLITUDES.
     m: number of mutually unbiased bases in play (2..d+1; 3 at most for d=2).
     key_length: N, the number of final key dits; 2N rounds run in total.
     abort_threshold: abort when the observed error rate exceeds this.
@@ -196,6 +195,11 @@ class SessionConfig:
     def __post_init__(self):
         if not is_prime(self.d):
             raise ConfigError(f"d = {self.d} must be prime")
+        if self.d**3 > MAX_AMPLITUDES:
+            raise ConfigError(
+                f"d = {self.d} is too large: each teleport holds d**3 = {self.d**3} "
+                f"amplitudes, above the cap of {MAX_AMPLITUDES}"
+            )
         limit = 3 if self.d == 2 else self.d + 1
         if not 2 <= self.m <= limit:
             raise ConfigError(f"m = {self.m} outside 2..{limit} for d = {self.d}")
@@ -262,43 +266,41 @@ class KeyResult:
     check_positions: tuple[int, ...]
 
 
-def _session_rng(config: SessionConfig, rng: Optional[Rng]) -> Rng:
-    return rng if rng is not None else Rng(config.seed)
+class _Verdict(NamedTuple):
+    """Where the session compared, what it saw, and whether it aborted."""
+
+    check_positions: tuple[int, ...]
+    error_rate: float
+    aborted: bool
 
 
-def _canonical_pair(ref: StateVector) -> StateVector:
-    return bell_pair(ref.dims[0], (ref.labels[0], ref.labels[1]))
+class _Session:
+    """What every variant shares: basis family, draws, streams, transcript.
 
+    Rotations and secrets are drawn for all 2N rounds up front, and every
+    per-round stream is a child of a per-purpose stream, so the order in
+    which the stages run never changes a draw.
+    """
 
-def _recycle_checked(residual: StateVector, k: int, l: int) -> None:
-    restored = recycle(residual, k, l)
-    if fidelity(restored, _canonical_pair(residual)) < 1.0 - NORM_TOL:
-        raise AssertionError("recycled pair failed to restore the canonical state")
+    def __init__(self, config: SessionConfig, rng: Optional[Rng]):
+        self.config = config
+        self.rng = rng if rng is not None else Rng(config.seed)
+        self.d, self.n, self.total = config.d, config.key_length, 2 * config.key_length
+        self.fam = mub_family(config.d, config.m)
+        self.rotations = self._draw(_R_ROTATIONS, config.m)
+        self.secrets = self._draw(_R_SECRETS, config.d)
+        self.crng = self.rng.child(_R_CHANNEL)
+        self.trng = self.rng.child(_R_TELEPORT)
+        self.brng = self.rng.child(_R_RECEIVER)
+        self.erng = self.rng.child(_R_EVE)
+        self.decode_rule = _eve_decode_rule(config.channel)
+        self.transcript: list[ClassicalMessage] = []
 
+    def _draw(self, purpose: int, high: int) -> list[int]:
+        return [int(x) for x in self.rng.child(purpose).integers(0, high, size=self.total)]
 
-def _transmit(
-    pair: StateVector,
-    b_label: str,
-    model: ChannelModel,
-    crng: Rng,
-    slot: int,
-    transcript: list[ClassicalMessage],
-    rebuild,
-    sender: str,
-    receiver: str,
-) -> ChannelResult:
-    """Send one carrier, retransmitting a freshly rebuilt state on loss."""
-    attempt = 0
-    while True:
-        result = apply_channel(pair, b_label, model, crng.child(slot, attempt))
-        if not result.lost:
-            return result
-        transcript.append(ClassicalMessage(receiver, sender, "pair_lost", (slot,)))
-        transcript.append(
-            ClassicalMessage(sender, receiver, "pair_retransmitted", (slot,))
-        )
-        attempt += 1
-        pair = rebuild()
+    def say(self, sender: str, recipient: str, kind: str, payload: Sequence[int] = ()):
+        self.transcript.append(ClassicalMessage(sender, recipient, kind, payload))
 
 
 def _eve_decode_rule(model: ChannelModel) -> Optional[str]:
@@ -309,77 +311,251 @@ def _eve_decode_rule(model: ChannelModel) -> Optional[str]:
     return None
 
 
-def _measure_digit(
+def _transmit(
+    s: _Session,
+    build: Callable[[], StateVector],
+    b_label: str,
+    model: ChannelModel,
+    crng: Rng,
+    slot: int,
+    sender: str,
+    receiver: str,
+) -> ChannelResult:
+    """Send one carrier built by `build`, building it afresh after each loss."""
+    attempt = 0
+    while True:
+        result = apply_channel(build(), b_label, model, crng.child(slot, attempt))
+        if not result.lost:
+            return result
+        s.say(receiver, sender, "pair_lost", (slot,))
+        s.say(sender, receiver, "pair_retransmitted", (slot,))
+        attempt += 1
+
+
+def _send_rotated_pair(s: _Session, r: int) -> ChannelResult:
+    """Round r's canonical pair, its half B rotated and sent to the receiver."""
+    rotation = s.fam.unitaries[s.rotations[r]]
+    build = partial(apply_unitary, bell_pair(s.d, ("A", "B")), rotation, ["B"])
+    return _transmit(s, build, "B", s.config.channel, s.crng, r, ALICE, BOB)
+
+
+def _arrivals(sent: Iterable[ChannelResult]) -> tuple[list[StateVector], list[tuple[str, ...]]]:
+    """The states that arrived, and Eve's registers in each, round by round.
+
+    Two flat lists: a long run holds every arrival, and a ChannelResult per
+    round would cost more memory than the states themselves.
+    """
+    states, eve_regs = [], []
+    for result in sent:
+        states.append(result.state)
+        eve_regs.append(result.eve_labels)
+    return states, eve_regs
+
+
+def _teleport_secret(
+    s: _Session, r: int, pair: StateVector, recycled: bool = True
+) -> tuple[StateVector, int]:
+    """Teleport round r's secret through half A of `pair`: (rest, shift l)."""
+    out = teleport(basis_state(s.d, s.secrets[r], "A_in"), pair, s.trng.child(r))
+    if recycled:
+        verify_recycle(out)
+    return out.receiver_state, out.l
+
+
+def _read_digit(
+    s: _Session,
+    reader: Rng,
+    r: int,
     state: StateVector,
     label: str,
-    unrotate,
+    unrotate: bool,
     shift: int,
-    rng: Rng,
 ) -> tuple[int, StateVector]:
-    """Undo a basis rotation, read the computational value, subtract shift."""
-    if unrotate is not None:
-        state = apply_unitary(state, unrotate, [label])
+    """Undo round r's rotation if asked, read `label`, subtract shift."""
+    if unrotate:
+        state = apply_unitary(state, s.fam.inverses[s.rotations[r]], [label])
     d = state.dim_of(label)
-    outcome, post, _ = measure(state, [label], computational_basis(d), rng)
+    outcome, post, _ = measure(state, [label], computational_basis(d), reader.child(r))
     return (outcome - shift) % d, post
 
 
-def _deterministic_outcome_map(d: int, basis) -> Optional[tuple[int, ...]]:
-    """Receiver outcome implied by each sender outcome on a canonical pair.
-
-    The sender's projection leaves the receiver in the conjugated basis
-    vector, so re-measuring in the same basis is deterministic only when
-    the basis is closed under conjugation up to a permutation. Bases where
-    it is not (possible for d > 3 ... strictly, for the quadratic-phase
-    members at odd d) are excluded from comparison checks.
-    """
-    pair = bell_pair(d, ("A", "B"))
-    mapping = []
-    for j in range(d):
-        post, _ = measure_forced(pair, ["A"], basis, j)
-        _, receiver = factor(post, ["A"])
-        probs = np.abs(basis.vectors.conj() @ receiver.amps) ** 2
-        best = int(np.argmax(probs))
-        if probs[best] < 1.0 - NORM_TOL:
-            return None
-        mapping.append(best)
-    return tuple(mapping)
-
-
 def _usable_check_bases(fam: MubFamily) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each basis fit for comparison checks, with its outcome map.
+
+    The map gives the receiver outcome implied by each sender outcome on a
+    canonical pair. The sender's projection leaves the receiver in the
+    conjugated basis vector, so re-measuring in the same basis is
+    deterministic only when the basis is closed under conjugation up to a
+    permutation. Bases where it is not (possible for d > 3 ... strictly,
+    for the quadratic-phase members at odd d) are excluded.
+    """
+    pair = bell_pair(fam.d, ("A", "B"))
     usable = []
     for i, basis in enumerate(fam.bases):
-        mapping = _deterministic_outcome_map(fam.d, basis)
-        if mapping is not None:
-            usable.append((i, mapping))
+        mapping = []
+        for j in range(fam.d):
+            post, _ = measure_forced(pair, ["A"], basis, j)
+            _, receiver = factor(post, ["A"])
+            probs = np.abs(basis.vectors.conj() @ receiver.amps) ** 2
+            mapping.append(int(np.argmax(probs)))
+            if probs[mapping[-1]] < 1.0 - NORM_TOL:
+                break
+        else:
+            usable.append((i, tuple(mapping)))
     if not usable:
         raise ConfigError("no basis supports deterministic comparison checks")
     return tuple(usable)
 
 
-def _draw_check_positions(rng: Rng, total: int, count: int) -> tuple[int, ...]:
-    return tuple(sorted(int(x) for x in rng.subset(total, count)))
+def _draw_check_positions(s: _Session) -> tuple[int, ...]:
+    return tuple(sorted(int(x) for x in s.rng.child(_R_CHECK_POS).subset(s.total, s.n)))
 
 
-def _unchecked_slots(total: int, checks: Sequence[int]) -> list[int]:
-    """Rounds 0..total-1 that are not check positions, in order."""
-    check_set = set(checks)
-    return [r for r in range(total) if r not in check_set]
+def _key_slots(s: _Session, verdict: _Verdict) -> list[int]:
+    """The rounds that are not check positions, in order; none after an abort."""
+    if verdict.aborted:
+        return []
+    checks = set(verdict.check_positions)
+    return [r for r in range(s.total) if r not in checks]
 
 
-def _compare_digits(
-    alice_vals: Sequence[int],
-    bob_vals: Sequence[int],
-    threshold: float,
-) -> tuple[float, bool]:
-    mism = sum(1 for a, b in zip(alice_vals, bob_vals) if a != b)
-    rate = mism / len(alice_vals)
-    return rate, rate > threshold
+def _decide(
+    s: _Session, checks: tuple[int, ...], expected: Sequence[int], observed: Sequence[int]
+) -> _Verdict:
+    """Compare, then announce abort or proceed."""
+    rate = sum(1 for a, b in zip(expected, observed) if a != b) / len(expected)
+    aborted = rate > s.config.abort_threshold
+    s.say(ALICE, EVERYONE, "abort" if aborted else "proceed")
+    return _Verdict(checks, rate, aborted)
 
 
-def _decision_message(transcript: list[ClassicalMessage], sender: str, aborted: bool):
-    kind = "abort" if aborted else "proceed"
-    transcript.append(ClassicalMessage(sender, EVERYONE, kind, ()))
+def _verify_pairs(
+    s: _Session, pairs: Sequence[StateVector], rotations_public: bool
+) -> _Verdict:
+    """Measure both halves of N random pairs in random comparison bases.
+
+    Each check uses a basis in which the sender's outcome fixes the
+    receiver's. With `rotations_public` the rotation string is published
+    first and the receiver unrotates half B before measuring.
+    """
+    usable = _usable_check_bases(s.fam)
+    checks = _draw_check_positions(s)
+    basis_rng = s.rng.child(_R_CHECK_BASIS)
+    picked = [usable[int(basis_rng.integers(0, len(usable)))] for _ in checks]
+    s.say(ALICE, EVERYONE, "check_positions", checks)
+    if rotations_public:
+        s.say(ALICE, EVERYONE, "publish_b", s.rotations)
+    arng = s.rng.child(_R_SENDER_MEAS)
+    alice_outcomes: list[int] = []
+    bob_outcomes: list[int] = []
+    expected: list[int] = []
+    for r, (basis_idx, mapping) in zip(checks, picked):
+        basis = s.fam.bases[basis_idx]
+        a_out, post, _ = measure(pairs[r], ["A"], basis, arng.child(r))
+        if rotations_public:
+            post = apply_unitary(post, s.fam.inverses[s.rotations[r]], ["B"])
+        b_out, _, _ = measure(post, ["B"], basis, s.brng.child(r))
+        alice_outcomes.append(a_out)
+        bob_outcomes.append(b_out)
+        expected.append(mapping[a_out])
+    s.say(ALICE, EVERYONE, "check_values", [idx for idx, _ in picked] + alice_outcomes)
+    s.say(BOB, EVERYONE, "check_values", bob_outcomes)
+    return _decide(s, checks, expected, bob_outcomes)
+
+
+def _result(
+    s: _Session,
+    verdict: _Verdict,
+    bob_digits: Sequence[int],
+    eve_digits: Optional[Sequence[int]],
+    recycled: int,
+    alice_digits: Optional[Sequence[int]] = None,
+) -> KeyResult:
+    alice_digits = s.secrets if alice_digits is None else alice_digits
+    key_slots = _key_slots(s, verdict)
+    return KeyResult(
+        aborted=verdict.aborted,
+        alice_key=tuple(alice_digits[r] for r in key_slots),
+        bob_key=tuple(bob_digits[r] for r in key_slots),
+        observed_error_rate=verdict.error_rate,
+        transcript=tuple(s.transcript),
+        recycled_pairs=recycled,
+        alice_digits=tuple(alice_digits),
+        bob_digits=tuple(bob_digits),
+        eve_digits=None if eve_digits is None else tuple(eve_digits),
+        check_positions=verdict.check_positions,
+    )
+
+
+def _read_and_compare(
+    s: _Session,
+    arrivals: Iterable[tuple[StateVector, str, int]],
+    eve_digit: Optional[Callable[[int, StateVector], int]],
+    recycled: int,
+) -> KeyResult:
+    """Receiver pass, Eve's pass, then the public final-digit comparison.
+
+    The receiver reads each round's (state, carrier, shift); Eve, if any,
+    then reads the receiver's post-states. Separate passes keep each pass's
+    repeated states together, which the measurement memo serves best.
+    """
+    bob_digits: list[int] = []
+    posts: list[StateVector] = []
+    for r, (state, label, shift) in enumerate(arrivals):
+        digit, post = _read_digit(s, s.brng, r, state, label, True, shift)
+        bob_digits.append(digit)
+        posts.append(post)
+    eve_digits = None if eve_digit is None else [eve_digit(r, p) for r, p in enumerate(posts)]
+    checks = _draw_check_positions(s)
+    s.say(ALICE, EVERYONE, "check_positions", checks)
+    alice_checks = [s.secrets[r] for r in checks]
+    bob_checks = [bob_digits[r] for r in checks]
+    s.say(ALICE, EVERYONE, "check_values", alice_checks)
+    s.say(BOB, EVERYONE, "check_values", bob_checks)
+    verdict = _decide(s, checks, alice_checks, bob_checks)
+    return _result(s, verdict, bob_digits, eve_digits, recycled)
+
+
+def _verify_then_key(
+    s: _Session,
+    pairs: Sequence[StateVector],
+    eve_regs: Sequence[tuple[str, ...]],
+    from_sender: bool,
+    eve_masks: Sequence[int] = (),
+) -> KeyResult:
+    """Verify N random pairs; unless that aborts, the other N carry the key.
+
+    `from_sender`: the sender made the pairs, so half B arrived rotated, the
+    rotations go public before the checks, and key pairs are recycled.
+    Otherwise a middleman made them (and recycled his triples); the sender
+    rotates her half by the transpose and publishes the survivors'
+    rotations last. Eve first unmasks the rounds flagged in `eve_masks`.
+    """
+    verdict = _verify_pairs(s, pairs, rotations_public=from_sender)
+    survivors = _key_slots(s, verdict)
+    alice = [-1] * s.total
+    bob = [-1] * s.total
+    eve = None if s.decode_rule is None else [-1] * s.total
+    shifts: list[int] = []
+    for r in survivors:
+        pair = pairs[r]
+        if not from_sender:
+            pair = apply_unitary(pair, s.fam.transposes[s.rotations[r]], ["A"])
+        state, l = _teleport_secret(s, r, pair, recycled=from_sender)
+        shifts.append(l)
+        alice[r] = s.secrets[r]
+        bob[r], post = _read_digit(s, s.brng, r, state, "B", True, l)
+        if eve is not None:
+            reg = eve_regs[r][0]
+            if eve_masks and eve_masks[r]:
+                post = apply_unitary(post, mub_family(2, 2).unitaries[1], [reg])
+            eve[r], _ = _read_digit(s, s.erng, r, post, reg, s.decode_rule == "protocol", l)
+    if survivors:
+        s.say(ALICE, EVERYONE, "publish_l", shifts)
+        if not from_sender:
+            s.say(ALICE, EVERYONE, "publish_b", [s.rotations[r] for r in survivors])
+    recycled = len(survivors) if from_sender else s.total
+    return _result(s, verdict, bob, eve, recycled, alice_digits=alice)
 
 
 def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult:
@@ -392,94 +568,23 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     unrotates, measures, and subtracts the shifts. Digits at the check
     positions are compared in public and the rest become the key.
     """
-    rng = _session_rng(config, rng)
-    d, m, n = config.d, config.m, config.key_length
-    total = 2 * n
-    fam = mub_family(d, m)
-    bb = bell_basis(d)
+    s = _Session(config, rng)
+    received: list[tuple[StateVector, int, tuple[str, ...]]] = []
+    for r in range(s.total):
+        sent = _send_rotated_pair(s, r)
+        state, l = _teleport_secret(s, r, sent.state)
+        received.append((state, l, sent.eve_labels))
+    s.say(BOB, ALICE, "ack_received")
+    s.say(ALICE, EVERYONE, "publish_l", [l for _, l, _ in received])
+    s.say(ALICE, EVERYONE, "publish_b", s.rotations)
 
-    rotations = [int(x) for x in rng.child(_R_ROTATIONS).integers(0, m, size=total)]
-    secrets = [int(x) for x in rng.child(_R_SECRETS).integers(0, d, size=total)]
-    crng = rng.child(_R_CHANNEL)
-    trng = rng.child(_R_TELEPORT)
-    brng = rng.child(_R_RECEIVER)
-    erng = rng.child(_R_EVE)
+    def eve_digit(r: int, post: StateVector) -> int:
+        _, l, regs = received[r]
+        return _read_digit(s, s.erng, r, post, regs[0], s.decode_rule == "protocol", l)[0]
 
-    transcript: list[ClassicalMessage] = []
-    decode_rule = _eve_decode_rule(config.channel)
-    receiver_states: list[StateVector] = []
-    eve_regs: list[tuple[str, ...]] = []
-    shifts: list[int] = []
-    recycled = 0
-
-    for r in range(total):
-        def rebuild(r=r):
-            pair = bell_pair(d, ("A", "B"))
-            return apply_unitary(pair, fam.unitaries[rotations[r]], ["B"])
-
-        sent = _transmit(
-            rebuild(), "B", config.channel, crng, r, transcript, rebuild, ALICE, BOB
-        )
-        joint = tensor([basis_state(d, secrets[r], "A_in"), sent.state])
-        outcome, post, _ = measure(joint, ["A_in", "A"], bb, trng.child(r))
-        k, l = bb.kl(outcome)
-        shifts.append(l)
-        residual, rest = factor(post, ["A_in", "A"])
-        _recycle_checked(residual, k, l)
-        recycled += 1
-        receiver_states.append(rest)
-        eve_regs.append(sent.eve_labels)
-
-    transcript.append(ClassicalMessage(BOB, ALICE, "ack_received", ()))
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_l", tuple(shifts)))
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_b", tuple(rotations)))
-
-    bob_digits: list[int] = []
-    post_states: list[StateVector] = []
-    for r in range(total):
-        digit, post = _measure_digit(
-            receiver_states[r],
-            "B",
-            fam.inverses[rotations[r]],
-            shifts[r],
-            brng.child(r),
-        )
-        bob_digits.append(digit)
-        post_states.append(post)
-
-    eve_digits: Optional[list[int]] = None
-    if decode_rule is not None:
-        eve_digits = []
-        for r in range(total):
-            reg = eve_regs[r][0]
-            unrot = fam.inverses[rotations[r]] if decode_rule == "protocol" else None
-            digit, _ = _measure_digit(post_states[r], reg, unrot, shifts[r], erng.child(r))
-            eve_digits.append(digit)
-
-    checks = _draw_check_positions(rng.child(_R_CHECK_POS), total, n)
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "check_positions", checks))
-    alice_checks = tuple(secrets[r] for r in checks)
-    bob_checks = tuple(bob_digits[r] for r in checks)
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "check_values", alice_checks))
-    transcript.append(ClassicalMessage(BOB, EVERYONE, "check_values", bob_checks))
-    error_rate, aborted = _compare_digits(alice_checks, bob_checks, config.abort_threshold)
-    _decision_message(transcript, ALICE, aborted)
-
-    key_slots = _unchecked_slots(total, checks)
-    alice_key = () if aborted else tuple(secrets[r] for r in key_slots)
-    bob_key = () if aborted else tuple(bob_digits[r] for r in key_slots)
-    return KeyResult(
-        aborted=aborted,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        observed_error_rate=error_rate,
-        transcript=tuple(transcript),
-        recycled_pairs=recycled,
-        alice_digits=tuple(secrets),
-        bob_digits=tuple(bob_digits),
-        eve_digits=None if eve_digits is None else tuple(eve_digits),
-        check_positions=checks,
-    )
+    arrivals = ((state, "B", l) for state, l, _ in received)
+    has_eve = s.decode_rule is not None
+    return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total)
 
 
 def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult:
@@ -492,127 +597,10 @@ def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     within threshold, the surviving N pairs carry the secret dits with no
     further digit comparison. Only those N pairs are recycled.
     """
-    config = replace(config, check_mode="pre_measurement")
-    rng = _session_rng(config, rng)
-    d, m, n = config.d, config.m, config.key_length
-    total = 2 * n
-    fam = mub_family(d, m)
-    bb = bell_basis(d)
-    usable = _usable_check_bases(fam)
-
-    rotations = [int(x) for x in rng.child(_R_ROTATIONS).integers(0, m, size=total)]
-    secrets = [int(x) for x in rng.child(_R_SECRETS).integers(0, d, size=total)]
-    crng = rng.child(_R_CHANNEL)
-    trng = rng.child(_R_TELEPORT)
-    brng = rng.child(_R_RECEIVER)
-    arng = rng.child(_R_SENDER_MEAS)
-    erng = rng.child(_R_EVE)
-
-    transcript: list[ClassicalMessage] = []
-    decode_rule = _eve_decode_rule(config.channel)
-    states: list[StateVector] = []
-    eve_regs: list[tuple[str, ...]] = []
-
-    for r in range(total):
-        def rebuild(r=r):
-            pair = bell_pair(d, ("A", "B"))
-            return apply_unitary(pair, fam.unitaries[rotations[r]], ["B"])
-
-        sent = _transmit(
-            rebuild(), "B", config.channel, crng, r, transcript, rebuild, ALICE, BOB
-        )
-        states.append(sent.state)
-        eve_regs.append(sent.eve_labels)
-
-    transcript.append(ClassicalMessage(BOB, ALICE, "ack_received", ()))
-
-    checks = _draw_check_positions(rng.child(_R_CHECK_POS), total, n)
-    basis_rng = rng.child(_R_CHECK_BASIS)
-    picked = [usable[int(basis_rng.integers(0, len(usable)))] for _ in checks]
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "check_positions", checks))
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_b", tuple(rotations)))
-
-    alice_outcomes: list[int] = []
-    bob_outcomes: list[int] = []
-    expected: list[int] = []
-    for (r, (basis_idx, mapping)) in zip(checks, picked):
-        a_out, post, _ = measure(states[r], ["A"], fam.bases[basis_idx], arng.child(r))
-        post = apply_unitary(post, fam.inverses[rotations[r]], ["B"])
-        b_out, _, _ = measure(post, ["B"], fam.bases[basis_idx], brng.child(r))
-        alice_outcomes.append(a_out)
-        bob_outcomes.append(b_out)
-        expected.append(mapping[a_out])
-    transcript.append(
-        ClassicalMessage(
-            ALICE,
-            EVERYONE,
-            "check_values",
-            tuple(idx for idx, _ in picked) + tuple(alice_outcomes),
-        )
-    )
-    transcript.append(ClassicalMessage(BOB, EVERYONE, "check_values", tuple(bob_outcomes)))
-    error_rate, aborted = _compare_digits(expected, bob_outcomes, config.abort_threshold)
-    _decision_message(transcript, ALICE, aborted)
-
-    alice_digits = [-1] * total
-    bob_digits = [-1] * total
-    eve_digits: Optional[list[int]] = [-1] * total if decode_rule is not None else None
-    recycled = 0
-    survivors = _unchecked_slots(total, checks)
-
-    if aborted:
-        return KeyResult(
-            aborted=True,
-            alice_key=(),
-            bob_key=(),
-            observed_error_rate=error_rate,
-            transcript=tuple(transcript),
-            recycled_pairs=0,
-            alice_digits=tuple(alice_digits),
-            bob_digits=tuple(bob_digits),
-            eve_digits=None if eve_digits is None else tuple(eve_digits),
-            check_positions=checks,
-        )
-
-    shifts: list[int] = []
-    for r in survivors:
-        joint = tensor([basis_state(d, secrets[r], "A_in"), states[r]])
-        outcome, post, _ = measure(joint, ["A_in", "A"], bb, trng.child(r))
-        k, l = bb.kl(outcome)
-        shifts.append(l)
-        residual, rest = factor(post, ["A_in", "A"])
-        _recycle_checked(residual, k, l)
-        recycled += 1
-        alice_digits[r] = secrets[r]
-        digit, post_rest = _measure_digit(
-            rest, "B", fam.inverses[rotations[r]], l, brng.child(r)
-        )
-        bob_digits[r] = digit
-        if eve_digits is not None:
-            reg = eve_regs[r][0]
-            unrot = (
-                fam.inverses[rotations[r]]
-                if decode_rule == "protocol"
-                else None
-            )
-            e_digit, _ = _measure_digit(post_rest, reg, unrot, l, erng.child(r))
-            eve_digits[r] = e_digit
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_l", tuple(shifts)))
-
-    alice_key = tuple(alice_digits[r] for r in survivors)
-    bob_key = tuple(bob_digits[r] for r in survivors)
-    return KeyResult(
-        aborted=False,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        observed_error_rate=error_rate,
-        transcript=tuple(transcript),
-        recycled_pairs=recycled,
-        alice_digits=tuple(alice_digits),
-        bob_digits=tuple(bob_digits),
-        eve_digits=None if eve_digits is None else tuple(eve_digits),
-        check_positions=checks,
-    )
+    s = _Session(replace(config, check_mode="pre_measurement"), rng)
+    states, eve_regs = _arrivals(_send_rotated_pair(s, r) for r in range(s.total))
+    s.say(BOB, ALICE, "ack_received")
+    return _verify_then_key(s, states, eve_regs, from_sender=True)
 
 
 def run_third_party(
@@ -636,189 +624,48 @@ def run_third_party(
     """
     if config.d != 2:
         raise ConfigError("third-party distribution is defined for d = 2 only")
-    rng = _session_rng(config, rng)
-    d, m, n = config.d, config.m, config.key_length
-    total = 2 * n
-    fam = mub_family(d, m)
-    bb = bell_basis(d)
-    usable = _usable_check_bases(fam)
+    s = _Session(config, rng)
     hadamard = mub_family(2, 2).unitaries[1]
-    recycle_table = ghz_recycle_ops()
-    triple_basis = ghz_basis()
-    canonical_triple = ghz_state(("C1", "C2", "C"))
+    mask_rng = s.rng.child(_R_MASKS)
+    masks_a = [int(x) for x in mask_rng.integers(0, 2, size=s.total)] if trusted else [0] * s.total
+    masks_b = [int(x) for x in mask_rng.integers(0, 2, size=s.total)] if trusted else [0] * s.total
 
-    rotations = [int(x) for x in rng.child(_R_ROTATIONS).integers(0, m, size=total)]
-    secrets = [int(x) for x in rng.child(_R_SECRETS).integers(0, d, size=total)]
-    mask_rng = rng.child(_R_MASKS)
-    masks_a = [int(x) for x in mask_rng.integers(0, 2, size=total)] if trusted else [0] * total
-    masks_b = [int(x) for x in mask_rng.integers(0, 2, size=total)] if trusted else [0] * total
-    crng = rng.child(_R_CHANNEL)
-    trng = rng.child(_R_TELEPORT)
-    grng = rng.child(_R_TRIPLE)
-    brng = rng.child(_R_RECEIVER)
-    arng = rng.child(_R_SENDER_MEAS)
-    erng = rng.child(_R_EVE)
+    def masked(state: StateVector, r: int) -> StateVector:
+        if masks_a[r]:
+            state = apply_unitary(state, hadamard, ["A"])
+        if masks_b[r]:
+            state = apply_unitary(state, hadamard, ["B"])
+        return state
 
-    transcript: list[ClassicalMessage] = []
-    decode_rule = _eve_decode_rule(config.channel)
-    states: list[StateVector] = []
-    eve_regs: list[tuple[str, ...]] = []
-
-    for r in range(total):
-        def rebuild(r=r):
-            triple = ghz_state(("C", "A", "B"))
-            if masks_a[r]:
-                triple = apply_unitary(triple, hadamard, ["A"])
-            if masks_b[r]:
-                triple = apply_unitary(triple, hadamard, ["B"])
-            return triple
-
-        sent = _transmit(
-            rebuild(), "B", config.channel, crng, r, transcript, rebuild, CHARLIE, BOB
+    states, eve_regs = _arrivals(
+        _transmit(
+            s, partial(masked, ghz_state(("C", "A", "B")), r), "B",
+            config.channel, s.crng, r, CHARLIE, BOB,
         )
-        states.append(sent.state)
-        eve_regs.append(sent.eve_labels)
-
-    transcript.append(ClassicalMessage(ALICE, CHARLIE, "ack_received", ()))
-    transcript.append(ClassicalMessage(BOB, CHARLIE, "ack_received", ()))
+        for r in range(s.total)
+    )
+    s.say(ALICE, CHARLIE, "ack_received")
+    s.say(BOB, CHARLIE, "ack_received")
     if trusted:
-        transcript.append(
-            ClassicalMessage(CHARLIE, EVERYONE, "charlie_mask_reveal", tuple(masks_a))
-        )
-        transcript.append(
-            ClassicalMessage(CHARLIE, EVERYONE, "charlie_mask_reveal", tuple(masks_b))
-        )
-        for r in range(total):
-            if masks_a[r]:
-                states[r] = apply_unitary(states[r], hadamard, ["A"])
-            if masks_b[r]:
-                states[r] = apply_unitary(states[r], hadamard, ["B"])
+        s.say(CHARLIE, EVERYONE, "charlie_mask_reveal", masks_a)
+        s.say(CHARLIE, EVERYONE, "charlie_mask_reveal", masks_b)
 
+    # The middleman's measurement leaves the end parties a pair of known
+    # sign class; the sender flips the minus class to the plus class.
+    flying = tensor([apply_unitary(basis_state(2, 0, c), hadamard, [c]) for c in ("C1", "C2")])
+    grng = s.rng.child(_R_TRIPLE)
     signs: list[int] = []
-    recycled = 0
     pairs: list[StateVector] = []
-    flying = tensor(
-        [
-            apply_unitary(basis_state(2, 0, "C1"), hadamard, ["C1"]),
-            apply_unitary(basis_state(2, 0, "C2"), hadamard, ["C2"]),
-        ]
-    )
-    for r in range(total):
-        joint = tensor([flying, states[r]])
-        outcome, post, _ = measure(joint, ["C1", "C2", "C"], triple_basis, grng.child(r))
-        residual, rest = factor(post, ["C1", "C2", "C"])
-        op2, op3 = recycle_table[outcome]
-        restored = apply_unitary(residual, op2.matrix(), ["C2"])
-        restored = apply_unitary(restored, op3.matrix(), ["C"])
-        if fidelity(restored, canonical_triple) < 1.0 - NORM_TOL:
-            raise AssertionError("recycled triple failed to restore canonical form")
-        recycled += 1
+    for r, state in enumerate(states):
+        outcome, pair = teleport_ghz(flying, masked(state, r), grng.child(r))
         signs.append(0 if outcome in (0, 1, 4, 5) else 1)
-        pairs.append(rest)
-    transcript.append(ClassicalMessage(CHARLIE, EVERYONE, "publish_k", tuple(signs)))
-
-    for r in range(total):
-        if signs[r]:
-            pairs[r] = apply_unitary(pairs[r], pauli_matrix(2, 1, 0), ["A"])
-
-    checks = _draw_check_positions(rng.child(_R_CHECK_POS), total, n)
-    basis_rng = rng.child(_R_CHECK_BASIS)
-    picked = [usable[int(basis_rng.integers(0, len(usable)))] for _ in checks]
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "check_positions", checks))
-    alice_outcomes: list[int] = []
-    bob_outcomes: list[int] = []
-    expected: list[int] = []
-    for (r, (basis_idx, mapping)) in zip(checks, picked):
-        a_out, post, _ = measure(pairs[r], ["A"], fam.bases[basis_idx], arng.child(r))
-        b_out, _, _ = measure(post, ["B"], fam.bases[basis_idx], brng.child(r))
-        alice_outcomes.append(a_out)
-        bob_outcomes.append(b_out)
-        expected.append(mapping[a_out])
-    transcript.append(
-        ClassicalMessage(
-            ALICE,
-            EVERYONE,
-            "check_values",
-            tuple(idx for idx, _ in picked) + tuple(alice_outcomes),
-        )
+        pairs.append(apply_unitary(pair, pauli_matrix(2, 1, 0), ["A"]) if signs[-1] else pair)
+    s.say(CHARLIE, EVERYONE, "publish_k", signs)
+    # A substituted carrier was stolen before its Hadamard mask came off.
+    stolen_masked = trusted and isinstance(config.channel, SubstitutedAttack)
+    return _verify_then_key(
+        s, pairs, eve_regs, from_sender=False, eve_masks=masks_b if stolen_masked else ()
     )
-    transcript.append(ClassicalMessage(BOB, EVERYONE, "check_values", tuple(bob_outcomes)))
-    error_rate, aborted = _compare_digits(expected, bob_outcomes, config.abort_threshold)
-    _decision_message(transcript, ALICE, aborted)
-
-    alice_digits = [-1] * total
-    bob_digits = [-1] * total
-    eve_digits: Optional[list[int]] = [-1] * total if decode_rule is not None else None
-    survivors = _unchecked_slots(total, checks)
-
-    if aborted:
-        return KeyResult(
-            aborted=True,
-            alice_key=(),
-            bob_key=(),
-            observed_error_rate=error_rate,
-            transcript=tuple(transcript),
-            recycled_pairs=recycled,
-            alice_digits=tuple(alice_digits),
-            bob_digits=tuple(bob_digits),
-            eve_digits=None if eve_digits is None else tuple(eve_digits),
-            check_positions=checks,
-        )
-
-    shifts: list[int] = []
-    key_rotations: list[int] = []
-    for r in survivors:
-        # Rotating the sender's own half by the transposed unitary equals
-        # rotating the receiver-bound half, so the standard flow applies.
-        rotated = apply_unitary(pairs[r], fam.transposes[rotations[r]], ["A"])
-        joint = tensor([basis_state(d, secrets[r], "A_in"), rotated])
-        outcome, post, _ = measure(joint, ["A_in", "A"], bb, trng.child(r))
-        k, l = bb.kl(outcome)
-        shifts.append(l)
-        key_rotations.append(rotations[r])
-        _, rest = factor(post, ["A_in", "A"])
-        alice_digits[r] = secrets[r]
-        digit, post_rest = _measure_digit(
-            rest, "B", fam.inverses[rotations[r]], l, brng.child(r)
-        )
-        bob_digits[r] = digit
-        if eve_digits is not None:
-            reg = eve_regs[r][0]
-            scratch = post_rest
-            if trusted and masks_b[r] and isinstance(config.channel, SubstitutedAttack):
-                scratch = apply_unitary(scratch, hadamard, [reg])
-            unrot = (
-                fam.inverses[rotations[r]]
-                if decode_rule == "protocol"
-                else None
-            )
-            e_digit, _ = _measure_digit(scratch, reg, unrot, l, erng.child(r))
-            eve_digits[r] = e_digit
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_l", tuple(shifts)))
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_b", tuple(key_rotations)))
-
-    alice_key = tuple(alice_digits[r] for r in survivors)
-    bob_key = tuple(bob_digits[r] for r in survivors)
-    return KeyResult(
-        aborted=False,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        observed_error_rate=error_rate,
-        transcript=tuple(transcript),
-        recycled_pairs=recycled,
-        alice_digits=tuple(alice_digits),
-        bob_digits=tuple(bob_digits),
-        eve_digits=None if eve_digits is None else tuple(eve_digits),
-        check_positions=checks,
-    )
-
-
-def _party_name(index: int, hops: int) -> str:
-    if index == 0:
-        return ALICE
-    if index == hops:
-        return BOB
-    return f"e{index}"
 
 
 def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
@@ -832,149 +679,63 @@ def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
     unrotates once the rotation string is public and reads the dit with no
     shift subtraction. The comparison stage matches the plain session.
     """
-    base = config.base
-    rng = _session_rng(base, rng)
-    d, m, n = base.d, base.m, base.key_length
-    hops = config.hops
-    total = 2 * n
-    fam = mub_family(d, m)
-    bb = bell_basis(d)
-    channels = config.channels()
-
-    rotations = [int(x) for x in rng.child(_R_ROTATIONS).integers(0, m, size=total)]
-    secrets = [int(x) for x in rng.child(_R_SECRETS).integers(0, d, size=total)]
-    crng = rng.child(_R_CHANNEL)
-    trng = rng.child(_R_TELEPORT)
-    brng = rng.child(_R_RECEIVER)
-    erng = rng.child(_R_EVE)
-
-    transcript: list[ClassicalMessage] = []
-    phase_rows = [[0] * total for _ in range(hops)]
-    shift_rows = [[0] * total for _ in range(hops)]
-    final_states: list[StateVector] = []
-    carrier_labels: list[str] = []
-    eve_sites: list[list[tuple[int, tuple[str, ...]]]] = []
-    recycled = 0
-
-    for r in range(total):
-        carrier = apply_unitary(
-            basis_state(d, secrets[r], "W"), fam.unitaries[rotations[r]], ["W"]
+    s = _Session(config.base, rng)
+    d, hops, channels = s.d, config.hops, config.channels()
+    parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
+    byproducts: list[list[tuple[int, int]]] = []
+    # Per round: the carried state, its carrier label, and the first hop
+    # Eve attacked with the register she took there (None if she never did).
+    arrived: list[tuple[StateVector, str, Optional[tuple[int, str]]]] = []
+    for r in range(s.total):
+        state = apply_unitary(
+            basis_state(d, s.secrets[r], "W"), s.fam.unitaries[s.rotations[r]], ["W"]
         )
-        state = carrier
-        carrier_label = "W"
-        sites: list[tuple[int, tuple[str, ...]]] = []
+        carrier = "W"
+        outcomes: list[tuple[int, int]] = []
+        site = None
         for h in range(1, hops + 1):
             near, far = f"L{h}a", f"L{h}b"
-
-            def rebuild(near=near, far=far):
-                return bell_pair(d, (near, far))
-
             sent = _transmit(
-                rebuild(),
-                far,
-                channels[h - 1],
-                crng.child(h),
-                r,
-                transcript,
-                rebuild,
-                _party_name(h - 1, hops),
-                _party_name(h, hops),
+                s, partial(bell_pair, d, (near, far)), far, channels[h - 1],
+                s.crng.child(h), r, parties[h - 1], parties[h],
             )
-            if sent.eve_labels:
-                sites.append((h, sent.eve_labels))
-            joint = tensor([state, sent.state])
-            outcome, post, _ = measure(joint, [carrier_label, near], bb, trng.child(r, h))
-            k, l = bb.kl(outcome)
-            phase_rows[h - 1][r] = k
-            shift_rows[h - 1][r] = l
-            residual, rest = factor(post, [carrier_label, near])
-            _recycle_checked(residual, k, l)
-            recycled += 1
-            state = rest
-            carrier_label = far
-        final_states.append(state)
-        carrier_labels.append(carrier_label)
-        eve_sites.append(sites)
+            if sent.eve_labels and site is None:
+                site = (h, sent.eve_labels[0])
+            out = teleport(state, sent.state, s.trng.child(r, h), carrier=carrier)
+            verify_recycle(out)
+            outcomes.append((out.k, out.l))
+            state, carrier = out.receiver_state, far
+        byproducts.append(outcomes)
+        arrived.append((state, carrier, site))
 
     for h in range(1, hops + 1):
-        transcript.append(
-            ClassicalMessage(
-                _party_name(h, hops), _party_name(h - 1, hops), "ack_received", (h,)
-            )
-        )
+        s.say(parties[h], parties[h - 1], "ack_received", (h,))
     for i in range(hops):
-        party = _party_name(i, hops)
-        transcript.append(
-            ClassicalMessage(party, EVERYONE, "publish_k", tuple(phase_rows[i]))
-        )
-        transcript.append(
-            ClassicalMessage(party, EVERYONE, "publish_l", tuple(shift_rows[i]))
-        )
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "publish_b", tuple(rotations)))
+        s.say(parties[i], EVERYONE, "publish_k", [hop[i][0] for hop in byproducts])
+        s.say(parties[i], EVERYONE, "publish_l", [hop[i][1] for hop in byproducts])
+    s.say(ALICE, EVERYONE, "publish_b", s.rotations)
 
-    bob_digits: list[int] = []
-    post_states: list[StateVector] = []
-    for r in range(total):
-        k_sum = sum(phase_rows[i][r] for i in range(hops)) % d
-        l_sum = sum(shift_rows[i][r] for i in range(hops)) % d
-        state = apply_unitary(
-            final_states[r], pauli_matrix(d, k_sum, (-l_sum) % d), [carrier_labels[r]]
-        )
-        digit, post = _measure_digit(
-            state,
-            carrier_labels[r],
-            fam.inverses[rotations[r]],
-            0,
-            brng.child(r),
-        )
-        bob_digits.append(digit)
-        post_states.append(post)
+    def frame(r: int, upto: int) -> tuple[UnitaryOp, int]:
+        """The correction for round r's first `upto` hops, and their summed l."""
+        k_sum = sum(k for k, _ in byproducts[r][:upto]) % d
+        l_sum = sum(l for _, l in byproducts[r][:upto]) % d
+        return correction_op(d, k_sum, l_sum), l_sum
 
-    eve_digits: Optional[list[int]] = None
-    if any(_eve_decode_rule(ch) is not None for ch in channels):
-        eve_digits = [-1] * total
-        for r in range(total):
-            if not eve_sites[r]:
-                continue
-            hop, labels = eve_sites[r][0]
-            rule = _eve_decode_rule(channels[hop - 1])
-            k_sum = sum(phase_rows[i][r] for i in range(hop)) % d
-            l_sum = sum(shift_rows[i][r] for i in range(hop)) % d
-            state = post_states[r]
-            if rule == "protocol":
-                state = apply_unitary(
-                    state, pauli_matrix(d, k_sum, (-l_sum) % d), [labels[0]]
-                )
-                state = apply_unitary(
-                    state, fam.inverses[rotations[r]], [labels[0]]
-                )
-                shift = 0
-            else:
-                shift = l_sum
-            digit, _ = _measure_digit(state, labels[0], None, shift, erng.child(r))
-            eve_digits[r] = digit
+    rules = [_eve_decode_rule(ch) for ch in channels]
 
-    checks = _draw_check_positions(rng.child(_R_CHECK_POS), total, n)
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "check_positions", checks))
-    alice_checks = tuple(secrets[r] for r in checks)
-    bob_checks = tuple(bob_digits[r] for r in checks)
-    transcript.append(ClassicalMessage(ALICE, EVERYONE, "check_values", alice_checks))
-    transcript.append(ClassicalMessage(BOB, EVERYONE, "check_values", bob_checks))
-    error_rate, aborted = _compare_digits(alice_checks, bob_checks, base.abort_threshold)
-    _decision_message(transcript, ALICE, aborted)
+    def eve_digit(r: int, post: StateVector) -> int:
+        if arrived[r][2] is None:
+            return -1
+        hop, reg = arrived[r][2]
+        protocol = rules[hop - 1] == "protocol"
+        fix, shift = frame(r, hop)
+        if protocol:
+            post, shift = apply_unitary(post, fix, [reg]), 0
+        return _read_digit(s, s.erng, r, post, reg, protocol, shift)[0]
 
-    key_slots = _unchecked_slots(total, checks)
-    alice_key = () if aborted else tuple(secrets[r] for r in key_slots)
-    bob_key = () if aborted else tuple(bob_digits[r] for r in key_slots)
-    return KeyResult(
-        aborted=aborted,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        observed_error_rate=error_rate,
-        transcript=tuple(transcript),
-        recycled_pairs=recycled,
-        alice_digits=tuple(secrets),
-        bob_digits=tuple(bob_digits),
-        eve_digits=None if eve_digits is None else tuple(eve_digits),
-        check_positions=checks,
+    arrivals = (
+        (apply_unitary(state, frame(r, hops)[0], [carrier]), carrier, 0)
+        for r, (state, carrier, _) in enumerate(arrived)
     )
+    has_eve = any(rule is not None for rule in rules)
+    return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total * hops)

@@ -224,6 +224,38 @@ def test_cli_rejects_certain_loss_before_running(monkeypatch, capsys):
     assert "noise-p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channel", ["ideal", "purified"])
+def test_cli_rejects_oversized_d_before_building_anything(monkeypatch, capsys, channel):
+    def no_build(*args):
+        raise AssertionError("a basis or channel was built")
+
+    monkeypatch.setattr("siftfree_qkd.sessions.mub_family", no_build)
+    monkeypatch.setattr("siftfree_qkd.harness.build_channel", no_build)
+    assert main(["--mode", "two_party", "--d", "251", "--n", "1", "--channel", channel]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+def test_transcript_file_is_trial_zero_of_the_same_run(tmp_path, monkeypatch):
+    import siftfree_qkd.harness as harness
+
+    sessions = []
+    run_trial = harness._run_trial
+
+    def counted(spec, trial):
+        sessions.append(trial)
+        return run_trial(spec, trial)
+
+    monkeypatch.setattr(harness, "_run_trial", counted)
+    path = tmp_path / "trial0.txt"
+    spec = ExperimentSpec(
+        mode="two_party", d=3, key_length=6, trials=3, master_seed=4,
+        channel_kind="substituted", transcript_path=str(path),
+    )
+    run_experiment(spec)
+    assert sessions == [0, 1, 2]
+    assert path.read_text() == emit_transcript(spec, 0)
+
+
 def test_cli_transcript_flag(tmp_path):
     path = tmp_path / "trial0.txt"
     assert main([

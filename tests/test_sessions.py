@@ -49,6 +49,10 @@ def test_config_validation():
         SessionConfig(d=2, m=2, key_length=4, abort_threshold=1.5)
     with pytest.raises(ConfigError):
         SessionConfig(d=2, m=2, key_length=4, check_mode="vibes")
+    # A teleport holds d^3 amplitudes: 37^3 fits the cap, 41^3 does not.
+    SessionConfig(d=37, m=2, key_length=4)
+    with pytest.raises(ConfigError, match="too large"):
+        SessionConfig(d=41, m=2, key_length=4)
     with pytest.raises(ConfigError):
         ChainConfig(base=SessionConfig(d=2, m=2, key_length=4), hops=0)
     with pytest.raises(ConfigError):

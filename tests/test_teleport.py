@@ -1,5 +1,7 @@
 """Teleportation byproducts, corrections, recycling, triple measurements."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,13 @@ from siftfree_qkd import (
     teleport_ghz_forced,
     tensor,
 )
+from siftfree_qkd.states import MeasurementBasis
+from siftfree_qkd.teleport import TeleportOutcome, verify_recycle
 
 from oracles import ghz_bracket_expansion, teleport_reference
+
+# The package's `teleport` attribute is the function; this is the module.
+teleport_module = importlib.import_module("siftfree_qkd.teleport")
 
 
 def random_qudit(d, seed, label="psi"):
@@ -45,15 +52,53 @@ def test_forced_outcome_matches_reference(d):
             assert abs(ref_prob - 1.0 / d**2) < 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_correction_restores_input(d):
-    state = random_qudit(d, 7)
+def carried_state(d, seed):
+    """A relayed carrier "psi", entangled with a register "E" listed first."""
+    amps = Rng(seed).complex_normal(3 * d)
+    return StateVector(("E", "psi"), (3, d), amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize(
+    "d, carried",
+    [(2, False), (3, False), (5, False), (2, True), (3, True), (5, True)],
+    ids=["2", "3", "5", "carried-2", "carried-3", "carried-5"],
+)
+def test_correction_restores_input(d, carried):
+    """The receiver's corrected qudit is the input, bystanders included."""
+    if carried:
+        state, carrier = carried_state(d, 7), "psi"
+        target = StateVector(("E", "B"), (3, d), state.amps)
+    else:
+        state, carrier = random_qudit(d, 7), None
+        target = StateVector(("B",), (d,), state.amps)
     for k in range(d):
         for l in range(d):
-            out = teleport_forced(state, bell_pair(d), k, l)
+            out = teleport_forced(state, bell_pair(d), k, l, carrier=carrier)
+            assert set(out.receiver_state.labels) == set(target.labels)
+            assert abs(out.probability - 1.0 / d**2) < 1e-12
             fixed = apply_unitary(out.receiver_state, correction_op(d, k, l), ["B"])
-            target = StateVector(("B",), (d,), state.amps)
             assert fidelity(fixed, target) > 1 - 1e-9
+            assert fidelity(verify_recycle(out), bell_pair(d, (carrier or "psi", "A"))) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sampled_teleport_of_a_named_carrier(d):
+    state = carried_state(d, 19)
+    target = StateVector(("E", "B"), (3, d), state.amps)
+    rng = Rng(29)
+    for _ in range(20):
+        out = teleport(state, bell_pair(d), rng, carrier="psi")
+        fixed = apply_unitary(out.receiver_state, correction_op(d, out.k, out.l), ["B"])
+        assert fidelity(fixed, target) > 1 - 1e-9
+        verify_recycle(out)
+
+
+def test_recycle_check_rejects_a_wrong_outcome():
+    out = teleport_forced(random_qudit(3, 2), bell_pair(3), 1, 2)
+    verify_recycle(out)
+    wrong = TeleportOutcome(2, 2, out.sender_residual, out.receiver_state, out.probability)
+    with pytest.raises(AssertionError):
+        verify_recycle(wrong)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -110,6 +155,12 @@ def test_input_validation():
         teleport_forced(basis_state(3, 0, "in"), bell_pair(2), 0, 0)
     with pytest.raises(DimensionError):
         teleport_forced(basis_state(2, 0, "A"), bell_pair(2), 0, 0)
+    # A named carrier must match the pair, and no register may collide.
+    teleport_forced(bell_pair(2, ("X", "Y")), bell_pair(2), 0, 0, carrier="Y")
+    with pytest.raises(DimensionError):
+        teleport_forced(carried_state(2, 1), bell_pair(3), 0, 0, carrier="psi")
+    with pytest.raises(DimensionError):
+        teleport_forced(bell_pair(2, ("B", "Y")), bell_pair(2), 0, 0, carrier="Y")
 
 
 class TestTripleMeasurement:
@@ -154,7 +205,28 @@ class TestTripleMeasurement:
             counts[outcome] += 1
         sigma = np.sqrt(0.125 * 0.875 / n)
         assert np.abs(counts / n - 0.125).max() < 5 * sigma
+        # Every outcome was drawn, and its triple passed the recycle check.
+        assert counts.min() > 0
+
+    def test_corrupted_triple_is_rejected(self, monkeypatch):
+        """Measured in a basis with its outcomes shuffled, no triple recycles."""
+        plus = mub_family(2, 2).unitaries[1]
+        flying = tensor(
+            [
+                apply_unitary(basis_state(2, 0, "F1"), plus, ["F1"]),
+                apply_unitary(basis_state(2, 0, "F2"), plus, ["F2"]),
+            ]
+        )
+        shuffled = MeasurementBasis(8, np.roll(teleport_module.ghz_basis().vectors, 1, axis=0))
+        monkeypatch.setattr(teleport_module, "ghz_basis", lambda: shuffled)
+        for outcome in range(8):
+            with pytest.raises(AssertionError, match="triple"):
+                teleport_ghz_forced(flying, ghz_state(), outcome)
+        with pytest.raises(AssertionError, match="triple"):
+            teleport_ghz(flying, ghz_state(), Rng(3))
 
     def test_flying_register_validation(self):
         with pytest.raises(DimensionError):
             teleport_ghz_forced(basis_state(2, 0, "F1"), ghz_state(), 0)
+        with pytest.raises(DimensionError):
+            teleport_ghz_forced(bell_pair(2, ("F1", "F2")), bell_pair(2), 0)
