@@ -78,7 +78,7 @@ def test_correction_restores_input(d, carried):
             assert abs(out.probability - 1.0 / d**2) < 1e-12
             fixed = apply_unitary(out.receiver_state, correction_op(d, k, l), ["B"])
             assert fidelity(fixed, target) > 1 - 1e-9
-            assert fidelity(verify_recycle(out), bell_pair(d, (carrier or "psi", "A"))) > 1 - 1e-9
+            assert fidelity(verify_recycle(out), bell_pair(d, ("psi", "A"))) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3])
