@@ -7,9 +7,7 @@ third-party-assisted, multi-hop chain) with a batch experiment harness.
 """
 
 from .bases import (
-    BellBasis,
     GeneralizedPauli,
-    MubFamily,
     bell_basis,
     bell_pair,
     computational_basis,
@@ -24,9 +22,7 @@ from .bases import (
 )
 from .channels import (
     AttackReport,
-    ChannelResult,
     Depolarizing,
-    EveStrategy,
     Ideal,
     Loss,
     PurifiedAttack,
@@ -41,8 +37,6 @@ from .channels import (
 )
 from .harness import (
     ExperimentSpec,
-    ExperimentSummary,
-    TrialRecord,
     build_channel,
     emit_transcript,
     run_experiment,
@@ -81,7 +75,6 @@ from .states import (
     tensor,
 )
 from .teleport import (
-    TeleportOutcome,
     correction_op,
     recycle,
     teleport,

@@ -46,7 +46,6 @@ __all__ = [
     "bell_pair",
     "ghz_state",
     "ghz_basis",
-    "GHZ_OUTCOME_NAMES",
     "ghz_recycle_ops",
 ]
 
@@ -227,9 +226,6 @@ def ghz_state(labels: tuple[str, str, str] = ("C", "A", "B")) -> StateVector:
     amps = np.zeros(8, dtype=np.complex128)
     amps[0] = amps[7] = 1 / np.sqrt(2)
     return StateVector(labels, (2, 2, 2), amps)
-
-
-GHZ_OUTCOME_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
 @memoized

@@ -25,7 +25,7 @@ prepare-and-measure attack form U_E[U_i|s+l>|0>].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,20 +33,17 @@ from .bases import bell_pair, mub_family, pauli_matrix
 from .rng import Rng
 from .states import (
     DimensionError,
-    MeasurementBasis,
     StateVector,
     UnitaryOp,
     apply_unitary,
     basis_state,
     fidelity,
-    measure,
     relabel,
     tensor,
 )
 from .teleport import teleport_forced
 
 __all__ = [
-    "EveStrategy",
     "Ideal",
     "Depolarizing",
     "Loss",
@@ -54,6 +51,7 @@ __all__ = [
     "PurifiedAttack",
     "ChannelModel",
     "ChannelResult",
+    "added_dim",
     "apply_channel",
     "haar_unitary",
     "haar_state",
@@ -63,29 +61,6 @@ __all__ = [
     "AttackReport",
     "attack_report",
 ]
-
-
-@dataclass(frozen=True)
-class EveStrategy:
-    """What the eavesdropper sends and how she reads her registers later.
-
-    substitute_state: two-subsystem state for SubstitutedAttack; the first
-        subsystem goes to the receiver, the second stays with the
-        eavesdropper. None means a fresh maximally entangled pair.
-    decode: how captured registers are read once the public strings are
-        out. "protocol" mirrors the legitimate receiver (unrotate, measure,
-        subtract the published shift); "computational" skips the
-        unrotation, which is the right read-out for shift-type couplings.
-    """
-
-    substitute_state: Optional[StateVector] = None
-    decode: str = "protocol"
-
-    def __post_init__(self):
-        if self.decode not in ("protocol", "computational"):
-            raise DimensionError(f"unknown decode rule {self.decode!r}")
-        if self.substitute_state is not None and len(self.substitute_state.labels) != 2:
-            raise DimensionError("substitute_state must hold exactly two subsystems")
 
 
 @dataclass(frozen=True)
@@ -116,24 +91,15 @@ class Loss:
 
 @dataclass(frozen=True)
 class SubstitutedAttack:
-    strategy: EveStrategy = EveStrategy()
     kind: str = field(default="substituted", init=False)
 
 
 @dataclass(frozen=True)
 class PurifiedAttack:
-    u_e: UnitaryOp
-    e_dim: int
-    eve_measurement: str = "computational"
-    kind: str = field(default="purified", init=False)
+    """u_e couples the carrier (first) with an ancilla of dim u_e.dim // d."""
 
-    def __post_init__(self):
-        if self.e_dim < 2:
-            raise DimensionError("ancilla dimension must be >= 2")
-        if self.eve_measurement != "computational":
-            raise DimensionError(
-                f"unsupported eavesdropper measurement {self.eve_measurement!r}"
-            )
+    u_e: UnitaryOp
+    kind: str = field(default="purified", init=False)
 
 
 ChannelModel = Union[Ideal, Depolarizing, Loss, SubstitutedAttack, PurifiedAttack]
@@ -151,6 +117,24 @@ class ChannelResult:
     state: StateVector
     eve_labels: tuple[str, ...] = ()
     lost: bool = False
+
+
+def _ancilla_dim(u_e: UnitaryOp, d: int) -> int:
+    """Dimension of the ancilla that `u_e` couples to a d-level carrier."""
+    if u_e.dim % d or u_e.dim < 2 * d:
+        raise DimensionError(
+            f"coupling unitary dim {u_e.dim} is not carrier {d} times an ancilla of dim >= 2"
+        )
+    return u_e.dim // d
+
+
+def added_dim(model: ChannelModel, d: int) -> int:
+    """Total dimension of the registers `model` adds to a sent d-level pair."""
+    if isinstance(model, SubstitutedAttack):
+        return d * d  # Eve keeps the sent half and one half of her own pair
+    if isinstance(model, PurifiedAttack):
+        return _ancilla_dim(model.u_e, d)
+    return 1
 
 
 def _fresh_label(state: StateVector, base: str) -> str:
@@ -187,20 +171,10 @@ def apply_channel(
         stolen = _fresh_label(state, f"{b_label}#eve")
         kept = _fresh_label(state, f"{b_label}#keep")
         grabbed = relabel(state, {b_label: stolen})
-        sub = model.strategy.substitute_state
-        if sub is None:
-            sub = bell_pair(d, (b_label, kept))
-        else:
-            sub = relabel(sub, {sub.labels[0]: b_label, sub.labels[1]: kept})
-        return ChannelResult(tensor([grabbed, sub]), (stolen, kept))
+        return ChannelResult(tensor([grabbed, bell_pair(d, (b_label, kept))]), (stolen, kept))
     if isinstance(model, PurifiedAttack):
-        if model.u_e.dim != d * model.e_dim:
-            raise DimensionError(
-                f"coupling unitary dim {model.u_e.dim} != carrier*ancilla "
-                f"{d * model.e_dim}"
-            )
         anc = _fresh_label(state, f"{b_label}#anc")
-        joint = tensor([state, basis_state(model.e_dim, 0, anc)])
+        joint = tensor([state, basis_state(_ancilla_dim(model.u_e, d), 0, anc)])
         joint = apply_unitary(joint, model.u_e, [b_label, anc])
         return ChannelResult(joint, (anc,))
     raise DimensionError(f"unknown channel model {model!r}")
@@ -220,14 +194,13 @@ def haar_state(dim: int, rng: Rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def controlled_shift(d: int, e_dim: int | None = None) -> UnitaryOp:
-    """|b>|e> -> |b>|e + b mod e_dim>, the textbook copy-style coupling."""
-    e_dim = d if e_dim is None else e_dim
-    mat = np.zeros((d * e_dim, d * e_dim), dtype=np.complex128)
+def controlled_shift(d: int) -> UnitaryOp:
+    """|b>|e> -> |b>|e + b mod d>, the textbook copy-style coupling."""
+    mat = np.zeros((d * d, d * d), dtype=np.complex128)
     for b in range(d):
-        for e in range(e_dim):
-            mat[b * e_dim + (e + b) % e_dim, b * e_dim + e] = 1.0
-    return UnitaryOp(d * e_dim, mat)
+        for e in range(d):
+            mat[b * d + (e + b) % d, b * d + e] = 1.0
+    return UnitaryOp(d * d, mat)
 
 
 def blind_guess_monte_carlo(
@@ -269,7 +242,6 @@ def bb84_correspondence_check(
     k: int = 0,
     d: int = 2,
     m: int = 2,
-    e_dim: int | None = None,
 ) -> float:
     """Fidelity between the protocol's receiver+ancilla state and the
     prepare-and-measure attack form U_E[(U_i |s+l>) |0>].
@@ -279,21 +251,19 @@ def bb84_correspondence_check(
     global phase, hence fidelity 1) says a purified attack on this protocol
     is exactly an attack on a prepare-and-measure scheme.
     """
-    e_dim = (u_e.dim // d) if e_dim is None else e_dim
-    if u_e.dim != d * e_dim:
-        raise DimensionError("coupling unitary does not factor as carrier*ancilla")
+    anc_dim = _ancilla_dim(u_e, d)
     fam = mub_family(d, m)
     rot = fam.unitaries[i]
 
     pair = bell_pair(d, ("A", "B"))
     pair = apply_unitary(pair, rot, ["B"])
-    joint = tensor([pair, basis_state(e_dim, 0, "E")])
+    joint = tensor([pair, basis_state(anc_dim, 0, "E")])
     joint = apply_unitary(joint, u_e, ["B", "E"])
     out = teleport_forced(basis_state(d, s, "A_in"), joint, k, l)
     protocol_side = out.receiver_state  # subsystems B, E
 
     prepared = apply_unitary(basis_state(d, (s + l) % d, "B"), rot, ["B"])
-    reference = tensor([prepared, basis_state(e_dim, 0, "E")])
+    reference = tensor([prepared, basis_state(anc_dim, 0, "E")])
     reference = apply_unitary(reference, u_e, ["B", "E"])
     return fidelity(protocol_side, reference)
 
@@ -307,13 +277,11 @@ class AttackReport:
     detected: bool
 
 
-def attack_report(key_result, eve_decoded_digits=None) -> AttackReport:
-    """Summarize an attacked session.
+def attack_report(key_result, d: int) -> AttackReport:
+    """Summarize an attacked session of dimension d.
 
-    eve_decoded_digits: the adversary's per-round decoded dits (full-length,
-    -1 where she has nothing); defaults to the digits recorded in the
-    session result. Without an adversary the match rate is the blind
-    baseline 1/d inferred from the key alphabet.
+    Eve's rate is over the digits recorded in the session result; without
+    an adversary it is the blind baseline 1/d.
     """
     alice = np.asarray(key_result.alice_digits)
     bob = np.asarray(key_result.bob_digits)
@@ -323,12 +291,9 @@ def attack_report(key_result, eve_decoded_digits=None) -> AttackReport:
     if not key_pos:
         raise DimensionError("session holds no comparable key positions")
     bob_rate = float(np.mean(alice[key_pos] == bob[key_pos]))
-    if eve_decoded_digits is None:
-        eve_decoded_digits = key_result.eve_digits
-    if eve_decoded_digits is None:
-        d = int(max(int(alice[key_pos].max()) + 1, 2))
+    if key_result.eve_digits is None:
         eve_rate = 1.0 / d
     else:
-        eve = np.asarray(eve_decoded_digits)
+        eve = np.asarray(key_result.eve_digits)
         eve_rate = float(np.mean(alice[key_pos] == eve[key_pos]))
     return AttackReport(bob_rate, eve_rate, bool(key_result.aborted))

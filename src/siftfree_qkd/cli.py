@@ -1,8 +1,8 @@
 """Command line front end for the experiment harness.
 
-Values come from built-in defaults, then an optional flat key=value config
-file, then command line flags, highest precedence last. When no --out path
-is given the summary document goes to stdout. Exit status is 0 on success,
+Values come from ExperimentSpec's defaults, then an optional flat key=value
+config file, then command line flags, highest precedence last. When no --out
+path is given the summary document goes to stdout. Exit status is 0 on success,
 2 for configuration problems, 3 for I/O problems.
 """
 
@@ -10,31 +10,43 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .harness import CHANNEL_KINDS, MODES, ExperimentSpec, run_experiment, summary_document
 from .sessions import ConfigError
 
-__all__ = ["main", "load_config_file", "build_spec"]
+__all__ = ["main", "load_config_file"]
 
-_DEFAULTS = {
-    "mode": "two_party",
-    "d": 2,
-    "m": 2,
-    "n": 16,
-    "trials": 1,
-    "seed": 0,
-    "channel": "ideal",
-    "noise-p": 0.0,
-    "hops": 1,
-    "threshold": 0.05,
-    "out": None,
-    "csv": None,
-    "transcript": None,
+
+class _Option(NamedTuple):
+    field: str
+    help: str
+    choices: Optional[tuple[str, ...]] = None
+
+
+# Flag (and config key) -> ExperimentSpec field. Each option's default and
+# type are the field's default and that default's type.
+_OPTIONS = {
+    "mode": _Option("mode", "protocol variant", MODES),
+    "d": _Option("d", "carrier dimension (prime)"),
+    "m": _Option("m", "number of bases in play"),
+    "n": _Option("key_length", "key length in dits (2n rounds)"),
+    "trials": _Option("trials", "independent sessions"),
+    "seed": _Option("master_seed", "64-bit master seed"),
+    "channel": _Option("channel_kind", "transmission channel model", CHANNEL_KINDS),
+    "noise-p": _Option("noise_p", "depolarizing/loss probability"),
+    "hops": _Option("hops", "links in chain mode"),
+    "threshold": _Option("abort_threshold", "abort threshold"),
+    "out": _Option("output_path", "summary file path (default: stdout)"),
+    "csv": _Option("csv_path", "per-trial CSV path"),
+    "transcript": _Option("transcript_path", "trial-0 transcript path"),
 }
 
-_INT_KEYS = {"d", "m", "n", "trials", "seed", "hops"}
-_FLOAT_KEYS = {"noise-p", "threshold"}
+
+def _type(key: str) -> type:
+    """int or float for a numeric field, str for the rest (paths default to None)."""
+    default = getattr(ExperimentSpec, _OPTIONS[key].field)
+    return str if default is None else type(default)
 
 
 def load_config_file(path: str) -> dict:
@@ -50,40 +62,14 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
-        values[key] = _convert(key, value)
+        try:
+            values[key] = _type(key)(value)
+        except ValueError:
+            kind = "integer" if _type(key) is int else "number"
+            raise ConfigError(f"field {key}: cannot parse {value!r} as {kind}") from None
     return values
-
-
-def _convert(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(f"field {key}: cannot parse {value!r} as {kind}") from None
-    return value
-
-
-def build_spec(values: dict) -> ExperimentSpec:
-    return ExperimentSpec(
-        mode=values["mode"],
-        d=values["d"],
-        m=values["m"],
-        key_length=values["n"],
-        trials=values["trials"],
-        master_seed=values["seed"],
-        channel_kind=values["channel"],
-        noise_p=values["noise-p"],
-        hops=values["hops"],
-        abort_threshold=values["threshold"],
-        output_path=values["out"],
-        csv_path=values["csv"],
-        transcript_path=values["transcript"],
-    )
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -92,33 +78,22 @@ def _parser() -> argparse.ArgumentParser:
         description="Run seeded key-distribution experiments and emit statistics.",
     )
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--d", type=int, help="carrier dimension (prime)")
-    parser.add_argument("--m", type=int, help="number of bases in play")
-    parser.add_argument("--n", type=int, help="key length in dits (2n rounds)")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int, help="64-bit master seed")
-    parser.add_argument("--channel", choices=CHANNEL_KINDS)
-    parser.add_argument("--noise-p", type=float, help="depolarizing/loss probability")
-    parser.add_argument("--hops", type=int, help="links in chain mode")
-    parser.add_argument("--threshold", type=float, help="abort threshold")
-    parser.add_argument("--out", help="summary file path (default: stdout)")
-    parser.add_argument("--csv", help="per-trial CSV path")
-    parser.add_argument("--transcript", help="trial-0 transcript path")
+    for key, option in _OPTIONS.items():
+        parser.add_argument(f"--{key}", type=_type(key), help=option.help, choices=option.choices)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    values = dict(_DEFAULTS)
+    values = {}
     try:
         if args.config:
             values.update(load_config_file(args.config))
-        for key in _DEFAULTS:
+        for key in _OPTIONS:
             flag = getattr(args, key.replace("-", "_"))
             if flag is not None:
                 values[key] = flag
-        spec = build_spec(values)
+        spec = ExperimentSpec(**{_OPTIONS[key].field: value for key, value in values.items()})
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

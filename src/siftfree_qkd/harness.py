@@ -72,7 +72,7 @@ class ExperimentSpec:
     writes whichever are set.
     """
 
-    mode: str
+    mode: str = "two_party"
     d: int = 2
     m: int = 2
     key_length: int = 16
@@ -141,7 +141,7 @@ def build_channel(kind: str, noise_p: float, d: int) -> ChannelModel:
     if kind == "substituted":
         return SubstitutedAttack()
     if kind == "purified":
-        return PurifiedAttack(controlled_shift(d), d)
+        return PurifiedAttack(controlled_shift(d))
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
@@ -155,10 +155,10 @@ def _session_config(spec: ExperimentSpec, trial: int) -> SessionConfig:
         m=spec.m,
         key_length=spec.key_length,
         abort_threshold=spec.abort_threshold,
-        check_mode="pre_measurement" if spec.mode == "pre_check" else "final_digits",
         seed=_trial_seed(spec.master_seed, trial),
     )
     # Validated first: the purified coupling alone is a d^2 x d^2 matrix.
+    # The channel's own registers are counted when it is set.
     return replace(config, channel=build_channel(spec.channel_kind, spec.noise_p, spec.d))
 
 

@@ -42,9 +42,6 @@ class Rng:
     def random(self, size=None):
         return self._gen.random(size)
 
-    def normal(self, size=None):
-        return self._gen.normal(size=size)
-
     def complex_normal(self, size):
         """Standard complex gaussians, used for Haar sampling."""
         return (self._gen.normal(size=size) + 1j * self._gen.normal(size=size)) / np.sqrt(2.0)

@@ -25,7 +25,7 @@ line format, so runs are byte-for-byte reproducible from their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -46,6 +46,7 @@ from .channels import (
     Ideal,
     PurifiedAttack,
     SubstitutedAttack,
+    added_dim,
     apply_channel,
 )
 from .rng import Rng
@@ -170,16 +171,25 @@ def parse_transcript(text: str) -> tuple[ClassicalMessage, ...]:
     return tuple(messages)
 
 
+def _eavesdropped(channel: ChannelModel) -> bool:
+    return isinstance(channel, (SubstitutedAttack, PurifiedAttack))
+
+
+def _eve_unrotates(channel: ChannelModel) -> bool:
+    """Eve undoes the rotation only on what she took: the sender's real half."""
+    return isinstance(channel, SubstitutedAttack)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of one key distribution session.
 
-    d: prime carrier dimension (dits of the key), d**3 <= MAX_AMPLITUDES.
+    d: prime carrier dimension (dits of the key); the first teleport, d**3
+        amplitudes times the registers the channel adds, must fit within
+        MAX_AMPLITUDES.
     m: number of mutually unbiased bases in play (2..d+1; 3 at most for d=2).
     key_length: N, the number of final key dits; 2N rounds run in total.
     abort_threshold: abort when the observed error rate exceeds this.
-    check_mode: "final_digits" compares teleported digits afterwards;
-        "pre_measurement" verifies entanglement before any digit flows.
     seed: 64-bit seed; together with the config it fixes every outcome.
     channel: model applied to each transmitted half.
     """
@@ -188,17 +198,20 @@ class SessionConfig:
     m: int
     key_length: int
     abort_threshold: float = 0.05
-    check_mode: str = "final_digits"
     seed: int = 0
     channel: ChannelModel = field(default_factory=Ideal)
 
     def __post_init__(self):
         if not is_prime(self.d):
             raise ConfigError(f"d = {self.d} must be prime")
-        if self.d**3 > MAX_AMPLITUDES:
+        added = added_dim(self.channel, self.d)
+        if self.d**3 * added > MAX_AMPLITUDES:
+            held = f"d**3 = {self.d**3}"
+            if added > 1:
+                held = f"d**3 * {added} ({self.channel.kind} registers) = {self.d**3 * added}"
             raise ConfigError(
-                f"d = {self.d} is too large: each teleport holds d**3 = {self.d**3} "
-                f"amplitudes, above the cap of {MAX_AMPLITUDES}"
+                f"d = {self.d} is too large: each teleport holds {held} amplitudes, "
+                f"above the cap of {MAX_AMPLITUDES}"
             )
         limit = 3 if self.d == 2 else self.d + 1
         if not 2 <= self.m <= limit:
@@ -207,8 +220,6 @@ class SessionConfig:
             raise ConfigError("key_length must be >= 1")
         if not 0.0 <= self.abort_threshold <= 1.0:
             raise ConfigError("abort_threshold must lie in [0, 1]")
-        if self.check_mode not in ("final_digits", "pre_measurement"):
-            raise ConfigError(f"unknown check_mode {self.check_mode!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
@@ -293,7 +304,6 @@ class _Session:
         self.trng = self.rng.child(_R_TELEPORT)
         self.brng = self.rng.child(_R_RECEIVER)
         self.erng = self.rng.child(_R_EVE)
-        self.decode_rule = _eve_decode_rule(config.channel)
         self.transcript: list[ClassicalMessage] = []
 
     def _draw(self, purpose: int, high: int) -> list[int]:
@@ -301,14 +311,6 @@ class _Session:
 
     def say(self, sender: str, recipient: str, kind: str, payload: Sequence[int] = ()):
         self.transcript.append(ClassicalMessage(sender, recipient, kind, payload))
-
-
-def _eve_decode_rule(model: ChannelModel) -> Optional[str]:
-    if isinstance(model, SubstitutedAttack):
-        return model.strategy.decode
-    if isinstance(model, PurifiedAttack):
-        return model.eve_measurement
-    return None
 
 
 def _transmit(
@@ -535,7 +537,7 @@ def _verify_then_key(
     survivors = _key_slots(s, verdict)
     alice = [-1] * s.total
     bob = [-1] * s.total
-    eve = None if s.decode_rule is None else [-1] * s.total
+    eve = [-1] * s.total if _eavesdropped(s.config.channel) else None
     shifts: list[int] = []
     for r in survivors:
         pair = pairs[r]
@@ -549,7 +551,8 @@ def _verify_then_key(
             reg = eve_regs[r][0]
             if eve_masks and eve_masks[r]:
                 post = apply_unitary(post, mub_family(2, 2).unitaries[1], [reg])
-            eve[r], _ = _read_digit(s, s.erng, r, post, reg, s.decode_rule == "protocol", l)
+            unrotate = _eve_unrotates(s.config.channel)
+            eve[r], _ = _read_digit(s, s.erng, r, post, reg, unrotate, l)
     if survivors:
         s.say(ALICE, EVERYONE, "publish_l", shifts)
         if not from_sender:
@@ -580,10 +583,10 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
 
     def eve_digit(r: int, post: StateVector) -> int:
         _, l, regs = received[r]
-        return _read_digit(s, s.erng, r, post, regs[0], s.decode_rule == "protocol", l)[0]
+        return _read_digit(s, s.erng, r, post, regs[0], _eve_unrotates(config.channel), l)[0]
 
     arrivals = ((state, "B", l) for state, l, _ in received)
-    has_eve = s.decode_rule is not None
+    has_eve = _eavesdropped(config.channel)
     return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total)
 
 
@@ -597,7 +600,7 @@ def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     within threshold, the surviving N pairs carry the secret dits with no
     further digit comparison. Only those N pairs are recycled.
     """
-    s = _Session(replace(config, check_mode="pre_measurement"), rng)
+    s = _Session(config, rng)
     states, eve_regs = _arrivals(_send_rotated_pair(s, r) for r in range(s.total))
     s.say(BOB, ALICE, "ack_received")
     return _verify_then_key(s, states, eve_regs, from_sender=True)
@@ -721,21 +724,19 @@ def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
         l_sum = sum(l for _, l in byproducts[r][:upto]) % d
         return correction_op(d, k_sum, l_sum), l_sum
 
-    rules = [_eve_decode_rule(ch) for ch in channels]
-
     def eve_digit(r: int, post: StateVector) -> int:
         if arrived[r][2] is None:
             return -1
         hop, reg = arrived[r][2]
-        protocol = rules[hop - 1] == "protocol"
+        unrotate = _eve_unrotates(channels[hop - 1])
         fix, shift = frame(r, hop)
-        if protocol:
+        if unrotate:
             post, shift = apply_unitary(post, fix, [reg]), 0
-        return _read_digit(s, s.erng, r, post, reg, protocol, shift)[0]
+        return _read_digit(s, s.erng, r, post, reg, unrotate, shift)[0]
 
     arrivals = (
         (apply_unitary(state, frame(r, hops)[0], [carrier]), carrier, 0)
         for r, (state, carrier, _) in enumerate(arrived)
     )
-    has_eve = any(rule is not None for rule in rules)
+    has_eve = any(_eavesdropped(ch) for ch in channels)
     return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total * hops)

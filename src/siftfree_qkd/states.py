@@ -135,10 +135,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @property
-    def subsystems(self) -> tuple[tuple[str, int], ...]:
-        return tuple(zip(self.labels, self.dims))
-
-    @property
     def dim(self) -> int:
         return prod(self.dims)
 

@@ -155,7 +155,7 @@ def test_criterion_05_substituted_attack_detection():
         sigma = binomial_sigma(expected, 512)
         assert abs(res.observed_error_rate - expected) < 3 * sigma
         assert res.aborted, "substituted attack must trip the 0.05 threshold"
-        rep = attack_report(res)
+        rep = attack_report(res, d)
         assert rep.eve_alice_match_rate >= 0.99
         print(
             f"[PASS] criterion 5: substituted attack at d={d} detected "
@@ -194,7 +194,7 @@ def test_criterion_07_purified_attack_bb84_correspondence():
 
     cfg = SessionConfig(
         d=2, m=2, key_length=512, seed=701,
-        channel=PurifiedAttack(controlled_shift(2), 2),
+        channel=PurifiedAttack(controlled_shift(2)),
     )
     res = run_two_party(cfg)
     sigma = binomial_sigma(0.25, 512)

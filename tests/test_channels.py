@@ -7,11 +7,11 @@ from siftfree_qkd import (
     AttackReport,
     Depolarizing,
     DimensionError,
-    EveStrategy,
     Ideal,
     Loss,
     PurifiedAttack,
     Rng,
+    SessionConfig,
     SubstitutedAttack,
     apply_channel,
     attack_report,
@@ -22,6 +22,7 @@ from siftfree_qkd import (
     fidelity,
     haar_state,
     haar_unitary,
+    run_two_party,
 )
 
 from oracles import binomial_sigma
@@ -34,8 +35,6 @@ def test_parameter_validation():
         Loss(-0.1)
     with pytest.raises(ValueError):
         Loss(1.0)
-    with pytest.raises(ValueError):
-        EveStrategy(decode="telepathy")
 
 
 def test_ideal_channel_is_identity():
@@ -88,32 +87,27 @@ def test_substituted_attack_relabels_and_splices():
     assert fidelity(hers, bell_pair(2, ("A", stolen))) > 1 - 1e-9
 
 
-def test_substituted_attack_custom_substitute():
-    sub = bell_pair(3, ("S0", "S1"))
-    out = apply_channel(
-        bell_pair(3), "B", SubstitutedAttack(EveStrategy(substitute_state=sub)), Rng(0)
-    )
-    assert "B" in out.state.labels and "B#keep" in out.state.labels
-
-
 def test_purified_attack_adds_ancilla():
-    out = apply_channel(
-        bell_pair(2), "B", PurifiedAttack(controlled_shift(2), 2), Rng(0)
-    )
+    out = apply_channel(bell_pair(2), "B", PurifiedAttack(controlled_shift(2)), Rng(0))
     assert out.eve_labels == ("B#anc",)
     assert out.state.dims == (2, 2, 2)
 
 
 def test_purified_attack_dimension_mismatch():
     with pytest.raises(DimensionError):
-        apply_channel(bell_pair(2), "B", PurifiedAttack(controlled_shift(3), 3), Rng(0))
+        apply_channel(bell_pair(2), "B", PurifiedAttack(controlled_shift(3)), Rng(0))
+    # The ancilla must have at least two levels.
+    from siftfree_qkd import UnitaryOp
+
+    with pytest.raises(DimensionError):
+        apply_channel(bell_pair(2), "B", PurifiedAttack(UnitaryOp(2, np.eye(2))), Rng(0))
 
 
 def test_purified_identity_coupling_is_ideal():
     from siftfree_qkd import UnitaryOp
 
     u = UnitaryOp(4, np.eye(4))
-    out = apply_channel(bell_pair(2), "B", PurifiedAttack(u, 2), Rng(0))
+    out = apply_channel(bell_pair(2), "B", PurifiedAttack(u), Rng(0))
     part, anc = out.state, out.eve_labels[0]
     from siftfree_qkd import factor
 
@@ -203,21 +197,27 @@ class TestAttackReport:
 
     def test_rates_over_key_positions_only(self):
         res = self._result((0, 1, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 2), True)
-        rep = attack_report(res)
+        rep = attack_report(res, 2)
         assert rep.bob_alice_match_rate == 1.0
         assert rep.eve_alice_match_rate == 1.0
         assert rep.detected
 
     def test_blind_baseline_without_adversary(self):
         res = self._result((0, 1, 2, 1), (0, 1, 2, 1), None, (0,), False)
-        rep = attack_report(res)
+        rep = attack_report(res, 3)
         assert abs(rep.eve_alice_match_rate - 1 / 3) < 1e-12
         assert not rep.detected
+
+    def test_blind_baseline_is_one_over_the_session_dimension(self):
+        # No key digit reaches 4 here, so the largest digit would suggest d <= 4.
+        res = run_two_party(SessionConfig(d=5, m=2, key_length=2, seed=0))
+        assert max(res.alice_key) < 4
+        assert attack_report(res, 5).eve_alice_match_rate == 0.2
 
     def test_no_comparable_positions_raises(self):
         res = self._result((-1, -1), (-1, -1), None, (), True)
         with pytest.raises(DimensionError):
-            attack_report(res)
+            attack_report(res, 2)
 
     def test_report_is_plain_record(self):
         rep = AttackReport(0.5, 1.0, True)

@@ -1,6 +1,8 @@
 """Experiment runner outputs, reproducibility, and the CLI wrapper."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from siftfree_qkd import (
     summary_csv,
     summary_document,
 )
-from siftfree_qkd.cli import load_config_file, main
+from siftfree_qkd.cli import _parser, load_config_file, main
 
 
 def test_spec_validation():
@@ -233,6 +235,28 @@ def test_cli_rejects_oversized_d_before_building_anything(monkeypatch, capsys, c
     monkeypatch.setattr("siftfree_qkd.harness.build_channel", no_build)
     assert main(["--mode", "two_party", "--d", "251", "--n", "1", "--channel", channel]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+def test_cli_rejects_attacked_link_too_large_for_first_teleport(monkeypatch, capsys):
+    # 11^3 fits the cap, but a substituted pair adds two 11-level registers.
+    def no_build(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr("siftfree_qkd.sessions.mub_family", no_build)
+    assert main(["--mode", "two_party", "--d", "11", "--n", "1", "--channel", "substituted"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_parser():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = set(re.findall(r"^\| `(--[a-z-]+)` \|", readme.read_text(), re.MULTILINE))
+    parsed = {
+        flag
+        for action in _parser()._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    assert documented == parsed
 
 
 def test_transcript_file_is_trial_zero_of_the_same_run(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from siftfree_qkd import (
     ClassicalMessage,
     ConfigError,
     Depolarizing,
+    DimensionError,
     Ideal,
     Loss,
     PurifiedAttack,
@@ -47,12 +48,20 @@ def test_config_validation():
         SessionConfig(d=2, m=2, key_length=0)
     with pytest.raises(ConfigError):
         SessionConfig(d=2, m=2, key_length=4, abort_threshold=1.5)
-    with pytest.raises(ConfigError):
-        SessionConfig(d=2, m=2, key_length=4, check_mode="vibes")
     # A teleport holds d^3 amplitudes: 37^3 fits the cap, 41^3 does not.
     SessionConfig(d=37, m=2, key_length=4)
     with pytest.raises(ConfigError, match="too large"):
         SessionConfig(d=41, m=2, key_length=4)
+    # An attacked link adds registers to the first teleport: d^2 for a
+    # substituted pair (7^5 fits, 11^5 does not), the ancilla when purified.
+    SessionConfig(d=7, m=2, key_length=4, channel=SubstitutedAttack())
+    with pytest.raises(ConfigError, match="too large"):
+        SessionConfig(d=11, m=2, key_length=4, channel=SubstitutedAttack())
+    SessionConfig(d=13, m=2, key_length=4, channel=PurifiedAttack(controlled_shift(13)))
+    with pytest.raises(ConfigError, match="too large"):
+        SessionConfig(d=17, m=2, key_length=4, channel=PurifiedAttack(controlled_shift(17)))
+    with pytest.raises(DimensionError):
+        SessionConfig(d=2, m=2, key_length=4, channel=PurifiedAttack(controlled_shift(3)))
     with pytest.raises(ConfigError):
         ChainConfig(base=SessionConfig(d=2, m=2, key_length=4), hops=0)
     with pytest.raises(ConfigError):
@@ -229,7 +238,7 @@ def test_substituted_attack_detected(d):
     assert abs(res.observed_error_rate - expected) < 3 * binomial_sigma(expected, 96)
     assert res.aborted
     assert res.alice_key == ()
-    rep = attack_report(res)
+    rep = attack_report(res, d)
     assert rep.eve_alice_match_rate == 1.0
     assert rep.detected
     assert kinds(res)[-1] == "abort"
@@ -266,7 +275,7 @@ def test_substituted_eve_decodes_even_when_masked():
     )
     res = run_third_party(cfg, trusted=True)
     assert not res.aborted
-    rep = attack_report(res)
+    rep = attack_report(res, 2)
     assert rep.eve_alice_match_rate == 1.0
     assert abs(rep.bob_alice_match_rate - 0.5) < 3 * binomial_sigma(0.5, 48)
 
@@ -277,7 +286,7 @@ def test_purified_controlled_shift_error_rate():
         m=2,
         key_length=192,
         seed=35,
-        channel=PurifiedAttack(controlled_shift(2), 2),
+        channel=PurifiedAttack(controlled_shift(2)),
     )
     res = run_two_party(cfg)
     assert abs(res.observed_error_rate - 0.25) < 3 * binomial_sigma(0.25, 192)
