@@ -30,6 +30,7 @@ from typing import Union
 import numpy as np
 
 from .bases import bell_pair, mub_family, pauli_matrix
+from .memo import memoized
 from .rng import Rng
 from .states import (
     DimensionError,
@@ -194,8 +195,13 @@ def haar_state(dim: int, rng: Rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+@memoized
 def controlled_shift(d: int) -> UnitaryOp:
-    """|b>|e> -> |b>|e + b mod d>, the textbook copy-style coupling."""
+    """|b>|e> -> |b>|e + b mod d>, the textbook copy-style coupling.
+
+    Memoized, so every session of an experiment shares one coupling object
+    and the engine's memo (keyed on that object) answers across sessions.
+    """
     mat = np.zeros((d * d, d * d), dtype=np.complex128)
     for b in range(d):
         for e in range(d):

@@ -31,6 +31,7 @@ from .sessions import (
     ConfigError,
     KeyResult,
     SessionConfig,
+    check_teleport_size,
     run_chain,
     run_pre_check,
     run_third_party,
@@ -157,8 +158,10 @@ def _session_config(spec: ExperimentSpec, trial: int) -> SessionConfig:
         abort_threshold=spec.abort_threshold,
         seed=_trial_seed(spec.master_seed, trial),
     )
-    # Validated first: the purified coupling alone is a d^2 x d^2 matrix.
-    # The channel's own registers are counted when it is set.
+    # Validated first: the purified coupling alone is a d^2 x d^2 matrix, so
+    # its d-level ancilla is counted before the coupling is built.
+    if spec.channel_kind == "purified":
+        check_teleport_size(spec.d, spec.d, spec.channel_kind)
     return replace(config, channel=build_channel(spec.channel_kind, spec.noise_p, spec.d))
 
 

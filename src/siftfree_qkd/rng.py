@@ -8,6 +8,8 @@ yields identical outputs on every platform.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = ["Rng"]
@@ -20,6 +22,9 @@ class Rng:
     the same stream no matter when or where it is created. Protocol code
     gives each purpose (basis draws, secret dits, measurements, ...) its own
     child so that streams stay aligned across protocol variants.
+
+    The generator is built on the first draw: a stream that only names its
+    children, or is never drawn from, costs no generator set-up.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
@@ -28,8 +33,11 @@ class Rng:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = seed
         self.path = tuple(int(p) for p in path)
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=self.path))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.path))
         )
 
     def child(self, *indices: int) -> "Rng":

@@ -74,6 +74,7 @@ __all__ = [
     "ClassicalMessage",
     "serialize_transcript",
     "parse_transcript",
+    "check_teleport_size",
     "SessionConfig",
     "ChainConfig",
     "KeyResult",
@@ -180,6 +181,22 @@ def _eve_unrotates(channel: ChannelModel) -> bool:
     return isinstance(channel, SubstitutedAttack)
 
 
+def check_teleport_size(d: int, added: int, kind: str) -> None:
+    """ConfigError unless a first teleport fits within MAX_AMPLITUDES.
+
+    It holds d**3 amplitudes times `added`, the dimension of the registers
+    a `kind` channel adds to the sent pair.
+    """
+    if d**3 * added > MAX_AMPLITUDES:
+        held = f"d**3 = {d**3}"
+        if added > 1:
+            held = f"d**3 * {added} ({kind} registers) = {d**3 * added}"
+        raise ConfigError(
+            f"d = {d} is too large: each teleport holds {held} amplitudes, "
+            f"above the cap of {MAX_AMPLITUDES}"
+        )
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Parameters of one key distribution session.
@@ -204,15 +221,7 @@ class SessionConfig:
     def __post_init__(self):
         if not is_prime(self.d):
             raise ConfigError(f"d = {self.d} must be prime")
-        added = added_dim(self.channel, self.d)
-        if self.d**3 * added > MAX_AMPLITUDES:
-            held = f"d**3 = {self.d**3}"
-            if added > 1:
-                held = f"d**3 * {added} ({self.channel.kind} registers) = {self.d**3 * added}"
-            raise ConfigError(
-                f"d = {self.d} is too large: each teleport holds {held} amplitudes, "
-                f"above the cap of {MAX_AMPLITUDES}"
-            )
+        check_teleport_size(self.d, added_dim(self.channel, self.d), self.channel.kind)
         limit = 3 if self.d == 2 else self.d + 1
         if not 2 <= self.m <= limit:
             raise ConfigError(f"m = {self.m} outside 2..{limit} for d = {self.d}")

@@ -12,12 +12,14 @@ Model limits: pure states only, dense storage, total dimension capped at
 MAX_AMPLITUDES. Mixed states are handled by the callers via trajectory
 sampling, not density matrices.
 
-`measure` answers a repeat of an exact input (same labels, dimensions,
-amplitude bytes, targets and basis object) from a bounded table: the stored
-Born probabilities are the ones the engine computed, so the random stream
-sees the same floats and picks the same outcome, and each post-measurement
-state is built and validated once. `measure_memo_stats` reports how the
-table did.
+`tensor`, `apply_unitary`, `measure`, `factor` and `relabel` answer a
+repeat of an exact input (same labels, dimensions, amplitude bytes, targets,
+and the same operator or basis object) from one bounded table, so each
+distinct result is computed and validated once and then shared. A stored
+result is the one a fresh computation returns, bit for bit: `measure` keeps
+the Born probabilities the engine computed, so the random stream sees the
+same floats and picks the same outcome. Failed calls are never stored.
+`memo_stats` reports how the table did.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .memo import MemoStats, MemoTable
+from .memo import MemoStats, MemoTable, memoized
 from .rng import Rng
 
 __all__ = [
@@ -47,8 +49,8 @@ __all__ = [
     "apply_unitary",
     "measure",
     "measure_forced",
-    "measure_memo_stats",
-    "MEASURE_MEMO_LIMIT",
+    "memo_stats",
+    "MEMO_LIMIT",
     "fidelity",
     "factor",
     "relabel",
@@ -60,15 +62,17 @@ NORM_TOL = 1e-9
 ZERO_PROB = 1e-12
 # Dense-storage cap on the total amplitude count of any one state.
 MAX_AMPLITUDES = 2**16
-# Size limit of the measurement memo, in units of one complex128 amplitude
-# (16 bytes), so 2**14 is 256 KiB. An entry is charged for the amplitudes it
-# keeps alive plus MEASURE_MEMO_ENTRY_COST for its Python objects (measured
-# at about 0.8 KiB). Protocol rounds revisit a small set of states (prime-d
-# rotations are Clifford and channel kicks are Paulis, so every state is a
-# stabilizer state), but noisy multi-hop runs at large d mostly do not
-# repeat, and a larger table then only costs memory.
-MEASURE_MEMO_LIMIT = 2**14
-MEASURE_MEMO_ENTRY_COST = 64
+# Size limit of the operation memo, in units of one complex128 amplitude
+# (16 bytes), so 2**16 is 1 MiB. An entry is charged for the amplitudes it
+# keeps alive (its key's bytes plus its result) plus MEMO_ENTRY_COST for its
+# Python objects (measured at about 0.8 KiB). Entries often share buffers
+# (one op's result is the next op's key), so the charge is an upper bound.
+# Protocol rounds revisit a small set of states (prime-d rotations are
+# Clifford and channel kicks are Paulis, so every state is a stabilizer
+# state), but noisy multi-hop runs at large d mostly do not repeat, and a
+# larger table then only costs memory.
+MEMO_LIMIT = 2**16
+MEMO_ENTRY_COST = 64
 
 
 class LabelError(ValueError):
@@ -88,12 +92,16 @@ class FactorizationError(ValueError):
 
 
 def _as_complex_vector(values, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+    """A read-only flat copy of `values`, held in an immutable bytes object.
+
+    The bytes object is the array's `base`. It doubles as the state's memo
+    key, so a lookup copies nothing, and the bytes compute their hash once.
+    """
+    arr = np.frombuffer(np.asarray(values, dtype=np.complex128).tobytes(), dtype=np.complex128)
     if length is not None and arr.size != length:
         raise DimensionError(f"expected {length} amplitudes, got {arr.size}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise DimensionError("amplitudes must be finite (no NaN/Inf)")
-    arr.flags.writeable = False
     return arr
 
 
@@ -146,6 +154,11 @@ class StateVector:
 
     def dim_of(self, label: str) -> int:
         return self.dims[self.axis(label)]
+
+    def __reduce__(self):
+        # Copies and unpickled states go through the constructor too, so
+        # their amplitudes sit in bytes like every other state's.
+        return StateVector, (self.labels, self.dims, self.amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +213,50 @@ class MeasurementBasis:
         object.__setattr__(self, "vectors", vecs)
 
 
+_memo = MemoTable(MEMO_LIMIT)
+
+
+def _state_key(state: StateVector) -> tuple:
+    """Labels, dims and the exact amplitude bytes (the amps' own buffer)."""
+    return state.labels, state.dims, state.amps.base
+
+
+def _amplitudes(value) -> int:
+    """Amplitudes a result keeps alive: in its states, arrays and tuples of them."""
+    if isinstance(value, StateVector):
+        return value.amps.size
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, tuple):
+        return sum(map(_amplitudes, value))
+    return 0
+
+
+def _memo_call(key: tuple, key_size: int, compute, *args):
+    """`compute(*args)`, or the result stored under `key` by an earlier call.
+
+    key_size is the amplitude count of the state bytes inside `key`. An
+    exception propagates and leaves nothing stored.
+    """
+    value = _memo.get(key)
+    if value is None:
+        value = compute(*args)
+        _memo.put(key, value, key_size + _amplitudes(value) + MEMO_ENTRY_COST)
+    return value
+
+
+def memo_stats() -> MemoStats:
+    """Counters of the operation memo since the process started.
+
+    Every call of `tensor`, `apply_unitary`, `factor` and `relabel` makes one
+    lookup; a measurement makes two, one for the outcome distribution and
+    one for the post-state of the outcome drawn. `held` is in the units of
+    MEMO_LIMIT and never exceeds it.
+    """
+    return _memo.stats()
+
+
+@memoized
 def basis_state(d: int, value: int, label: str) -> StateVector:
     """Computational basis state |value> of a single d-level subsystem."""
     if not 0 <= value < d:
@@ -209,10 +266,7 @@ def basis_state(d: int, value: int, label: str) -> StateVector:
     return StateVector((label,), (d,), amps)
 
 
-def tensor(parts: Sequence[StateVector]) -> StateVector:
-    """Tensor product of states, subsystems concatenated in the given order."""
-    if not parts:
-        raise LabelError("tensor needs at least one state")
+def _tensor(parts: tuple[StateVector, ...]) -> StateVector:
     labels: tuple[str, ...] = ()
     dims: tuple[int, ...] = ()
     amps = np.ones(1, dtype=np.complex128)
@@ -223,57 +277,86 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
             raise DimensionError(
                 f"tensor product dimension {prod(dims)} exceeds cap {MAX_AMPLITUDES}"
             )
-        amps = np.kron(amps, part.amps)
+        # The products np.kron forms for vectors, without its shape handling.
+        amps = np.multiply.outer(amps, part.amps).reshape(-1)
     return StateVector(labels, dims, amps)
 
 
-def _target_axes(state: StateVector, targets: Sequence[str]) -> list[int]:
-    targets = list(targets)
+def tensor(parts: Sequence[StateVector]) -> StateVector:
+    """Tensor product of states, subsystems concatenated in the given order."""
+    parts = tuple(parts)
+    if not parts:
+        raise LabelError("tensor needs at least one state")
+    key = ("tensor",) + tuple(_state_key(part) for part in parts)
+    return _memo_call(key, sum(part.amps.size for part in parts), _tensor, parts)
+
+
+def _target_axes(state: StateVector, targets: Sequence[str]) -> tuple[int, ...]:
+    targets = tuple(targets)
     if not targets:
         raise LabelError("need at least one target label")
     if len(set(targets)) != len(targets):
-        raise LabelError(f"duplicate target labels {targets}")
-    return [state.axis(t) for t in targets]
+        raise LabelError(f"duplicate target labels {list(targets)}")
+    return tuple(state.axis(t) for t in targets)
+
+
+@memoized
+def _axis_orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose order that brings `axes` to the front, in order, and its inverse.
+
+    The same views np.moveaxis makes, without its per-call axis checks.
+    """
+    order = axes + tuple(i for i in range(ndim) if i not in axes)
+    return order, tuple(order.index(i) for i in range(ndim))
 
 
 def _target_matrix(state: StateVector, targets: Sequence[str]):
     """Amplitudes as a (target_group_dim, rest_dim) matrix.
 
     Target axes come first, in the order the caller listed them; the other
-    subsystems keep their relative order.
+    subsystems keep their relative order. Returns the matrix, the target
+    axes, and the layout `_rebuild` needs to put a result back.
     """
     axes = _target_axes(state, targets)
-    arr = state.amps.reshape(state.dims)
-    moved = np.moveaxis(arr, axes, range(len(axes)))
+    order, inverse = _axis_orders(len(state.dims), axes)
+    moved = state.amps.reshape(state.dims).transpose(order)
     tdim = prod(moved.shape[: len(axes)])
-    return moved.reshape(tdim, -1), axes, moved.shape
+    return moved.reshape(tdim, -1), axes, (moved.shape, inverse)
 
 
-def _rebuild(state: StateVector, axes: list[int], shape, flat: np.ndarray) -> StateVector:
-    arr = flat.reshape(shape)
-    arr = np.moveaxis(arr, range(len(axes)), axes)
+def _rebuild(state: StateVector, layout, flat: np.ndarray) -> StateVector:
+    shape, inverse = layout
+    arr = flat.reshape(shape).transpose(inverse)
     return StateVector(state.labels, state.dims, arr.reshape(-1))
 
 
-def apply_unitary(state: StateVector, op: UnitaryOp, targets: Sequence[str]) -> StateVector:
-    """Apply `op` to the listed subsystems (in listed significance order)."""
-    mat, axes, shape = _target_matrix(state, targets)
+def _apply_unitary(state: StateVector, op: UnitaryOp, targets: tuple[str, ...]) -> StateVector:
+    mat, _, layout = _target_matrix(state, targets)
     if mat.shape[0] != op.dim:
         raise DimensionError(
             f"operator dim {op.dim} != target group dim {mat.shape[0]}"
         )
-    return _rebuild(state, axes, shape, op.matrix @ mat)
+    return _rebuild(state, layout, op.matrix @ mat)
+
+
+def apply_unitary(state: StateVector, op: UnitaryOp, targets: Sequence[str]) -> StateVector:
+    """Apply `op` to the listed subsystems (in listed significance order)."""
+    targets = tuple(targets)
+    # Operators compare by identity, and the key's reference keeps the
+    # operator alive, so a recycled id can never alias an entry.
+    key = ("apply_unitary",) + _state_key(state) + (op, targets)
+    return _memo_call(key, state.amps.size, _apply_unitary, state, op, targets)
 
 
 def _outcome_amplitudes(state: StateVector, targets: Sequence[str], basis: MeasurementBasis):
-    mat, axes, shape = _target_matrix(state, targets)
+    mat, _, layout = _target_matrix(state, targets)
     if mat.shape[0] != basis.dim:
         raise DimensionError(
             f"basis dim {basis.dim} != target group dim {mat.shape[0]}"
         )
     branch = basis.vectors.conj() @ mat  # row w: unnormalized rest-state for outcome w
     probs = np.einsum("wr,wr->w", branch, branch.conj()).real
-    return branch, probs, axes, shape
+    return branch, probs, layout
 
 
 def _collapse(
@@ -282,15 +365,11 @@ def _collapse(
     branch_row: np.ndarray,
     prob: float,
     outcome: int,
-    axes: list[int],
-    shape,
+    layout,
 ) -> StateVector:
     rest = branch_row / np.sqrt(prob)
     full = np.multiply.outer(basis.vectors[outcome], rest)
-    return _rebuild(state, axes, shape, full)
-
-
-_measure_memo = MemoTable(MEASURE_MEMO_LIMIT)
+    return _rebuild(state, layout, full)
 
 
 def measure(
@@ -306,33 +385,16 @@ def measure(
     taken from `rng`, whether or not the input was seen before.
     """
     targets = tuple(targets)
-    # Bases compare by identity, and the key's reference keeps the basis
-    # alive, so a recycled id can never alias an entry. Both kinds of entry
-    # keep two state-sized arrays alive: the key bytes plus the branches, or
-    # the key bytes plus the post-state.
-    key = (state.labels, state.dims, state.amps.tobytes(), targets, basis)
-    cost = 2 * state.amps.size + MEASURE_MEMO_ENTRY_COST
-    born = _measure_memo.get(key)
-    if born is None:
-        born = _outcome_amplitudes(state, targets, basis)
-        _measure_memo.put(key, born, cost)
-    branch, probs, axes, shape = born
+    # Bases, like operators, are held by the key. Each post-state entry
+    # holds the distribution's key, so it is charged for the key bytes too.
+    key = ("measure",) + _state_key(state) + (targets, basis)
+    size = state.amps.size
+    branch, probs, layout = _memo_call(key, size, _outcome_amplitudes, state, targets, basis)
     outcome = rng.pick(probs)
-    post = _measure_memo.get((key, outcome))
-    if post is None:
-        post = _collapse(state, basis, branch[outcome], probs[outcome], outcome, axes, shape)
-        _measure_memo.put((key, outcome), post, cost)
+    post = _memo_call(
+        (key, outcome), size, _collapse, state, basis, branch[outcome], probs[outcome], outcome, layout
+    )
     return outcome, post, float(probs[outcome])
-
-
-def measure_memo_stats() -> MemoStats:
-    """Counters of the measurement memo since the process started.
-
-    Each measurement makes two lookups, one for the outcome distribution and
-    one for the post-state of the outcome drawn. `held` is in the units of
-    MEASURE_MEMO_LIMIT and never exceeds it.
-    """
-    return _measure_memo.stats()
 
 
 def measure_forced(
@@ -345,7 +407,7 @@ def measure_forced(
 
     Raises ZeroProbabilityError if the branch has probability < ZERO_PROB.
     """
-    branch, probs, axes, shape = _outcome_amplitudes(state, targets, basis)
+    branch, probs, layout = _outcome_amplitudes(state, targets, basis)
     if not 0 <= outcome < basis.dim:
         raise DimensionError(f"outcome {outcome} outside 0..{basis.dim - 1}")
     p = float(probs[outcome])
@@ -353,7 +415,7 @@ def measure_forced(
         raise ZeroProbabilityError(
             f"outcome {outcome} has probability {p!r}, below {ZERO_PROB}"
         )
-    post = _collapse(state, basis, branch[outcome], p, outcome, axes, shape)
+    post = _collapse(state, basis, branch[outcome], p, outcome, layout)
     return post, p
 
 
@@ -374,22 +436,14 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(min(abs(overlap) ** 2, 1.0))
 
 
-def factor(state: StateVector, labels: Sequence[str]) -> tuple[StateVector, StateVector]:
-    """Split a product state into (part on `labels`, part on the rest).
-
-    Requires the split to be exact (Schmidt rank 1 across the cut); raises
-    FactorizationError otherwise. Global phase stays on the product: the
-    extracted part gets a real-positive leading amplitude and the remainder
-    carries the rest of the phase.
-    """
-    labels = list(labels)
+def _factor(state: StateVector, labels: tuple[str, ...]) -> tuple[StateVector, StateVector]:
     if len(labels) >= len(state.labels):
         raise LabelError("factor must leave at least one subsystem behind")
-    mat, axes, shape = _target_matrix(state, labels)
+    mat, axes, _ = _target_matrix(state, labels)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     if len(s) > 1 and s[1] > 1e-6:
         raise FactorizationError(
-            f"subsystems {labels} are entangled with the rest (second Schmidt "
+            f"subsystems {list(labels)} are entangled with the rest (second Schmidt "
             f"coefficient {s[1]:.3e})"
         )
     part = u[:, 0]
@@ -402,14 +456,32 @@ def factor(state: StateVector, labels: Sequence[str]) -> tuple[StateVector, Stat
     rest_labels = tuple(l for l in state.labels if l not in labels)
     rest_dims = tuple(state.dims[state.axis(l)] for l in rest_labels)
     return (
-        StateVector(tuple(labels), part_dims, part),
+        StateVector(labels, part_dims, part),
         StateVector(rest_labels, rest_dims, rest),
     )
 
 
-def relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
-    """Rename subsystems; order and amplitudes are untouched."""
+def factor(state: StateVector, labels: Sequence[str]) -> tuple[StateVector, StateVector]:
+    """Split a product state into (part on `labels`, part on the rest).
+
+    Requires the split to be exact (Schmidt rank 1 across the cut); raises
+    FactorizationError otherwise. Global phase stays on the product: the
+    extracted part gets a real-positive leading amplitude and the remainder
+    carries the rest of the phase.
+    """
+    labels = tuple(labels)
+    key = ("factor",) + _state_key(state) + (labels,)
+    return _memo_call(key, state.amps.size, _factor, state, labels)
+
+
+def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
     for old in mapping:
         state.axis(old)  # raises LabelError on unknown names
     new_labels = tuple(mapping.get(l, l) for l in state.labels)
     return StateVector(new_labels, state.dims, state.amps)
+
+
+def relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
+    """Rename subsystems; order and amplitudes are untouched."""
+    key = ("relabel",) + _state_key(state) + (tuple(mapping.items()),)
+    return _memo_call(key, state.amps.size, _relabel, state, mapping)

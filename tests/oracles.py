@@ -88,6 +88,26 @@ def mub_unitaries(d, m):
     return mats[:m]
 
 
+def frame_x_shift(d, basis, x, z):
+    """X-exponent of U_basis^dagger (X^x Z^z) U_basis, by Pauli-frame algebra.
+
+    Conjugation by a Clifford maps Paulis to Paulis up to phase, so it acts
+    on the exponent pair (x, z) mod d alone (Gottesman 1998). With
+    X|j> = |j+1> and Z|j> = w^j |j>: the Fourier transform F maps
+    (x, z) -> (z, -x); the phase D_t = diag(w^(t j^2)) maps (x, z) ->
+    (x, z - 2t x). Member `basis` of `mub_unitaries` is the identity for 0;
+    D_t F with t = basis - 1 for odd d; for d = 2, the Hadamard (x, z) ->
+    (z, x) for 1 and S.H with S = diag(1, i) for 2, where S maps
+    (x, z) -> (x, z + x).
+    """
+    if basis == 0:
+        return x % d
+    if d == 2:
+        return z % 2 if basis == 1 else (x + z) % 2
+    t = basis - 1
+    return (z - 2 * t * x) % d
+
+
 def depolarizing_check_error(d, p, m):
     """Expected mismatch rate at a check position under uniform-Pauli noise.
 

@@ -247,6 +247,17 @@ def test_cli_rejects_attacked_link_too_large_for_first_teleport(monkeypatch, cap
     assert "too large" in capsys.readouterr().err
 
 
+def test_cli_rejects_oversized_purified_link_before_building_the_coupling(monkeypatch, capsys):
+    # 37^3 fits the cap, but the coupling's 37-level ancilla does not; the
+    # coupling itself would be a 1369 x 1369 matrix.
+    def no_build(*args):
+        raise AssertionError("the coupling was built")
+
+    monkeypatch.setattr("siftfree_qkd.harness.controlled_shift", no_build)
+    assert main(["--mode", "two_party", "--d", "37", "--n", "1", "--channel", "purified"]) == 2
+    assert "purified registers" in capsys.readouterr().err
+
+
 def test_readme_flag_table_matches_parser():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     documented = set(re.findall(r"^\| `(--[a-z-]+)` \|", readme.read_text(), re.MULTILINE))

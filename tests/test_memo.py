@@ -1,6 +1,8 @@
-"""Memoized constructors and the measurement memo leave every output unchanged."""
+"""Memoized constructors and the operation memo leave every output unchanged."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -11,13 +13,20 @@ import siftfree_qkd
 from siftfree_qkd import (
     ChainConfig,
     Depolarizing,
+    DimensionError,
+    FactorizationError,
     MeasurementBasis,
     Rng,
     SessionConfig,
+    StateVector,
+    UnitaryOp,
     apply_unitary,
+    basis_state,
     bell_basis,
     bell_pair,
     computational_basis,
+    controlled_shift,
+    factor,
     fourier_basis,
     ghz_basis,
     ghz_state,
@@ -25,14 +34,17 @@ from siftfree_qkd import (
     measure_forced,
     mub_family,
     pauli_matrix,
+    relabel,
     run_chain,
+    tensor,
 )
+from siftfree_qkd import states
 from siftfree_qkd.cli import main
 from siftfree_qkd.memo import MemoTable
 from siftfree_qkd.states import (
-    MEASURE_MEMO_ENTRY_COST,
-    MEASURE_MEMO_LIMIT,
-    measure_memo_stats,
+    MEMO_ENTRY_COST,
+    MEMO_LIMIT,
+    memo_stats,
 )
 
 from test_states import random_state
@@ -52,6 +64,8 @@ def _assert_read_only(arr):
         (lambda: bell_pair(3, ("A", "B")), lambda s: [s.amps]),
         (lambda: ghz_basis(), lambda b: [b.vectors]),
         (lambda: ghz_state(("C", "A", "B")), lambda s: [s.amps]),
+        (lambda: basis_state(3, 1, "A"), lambda s: [s.amps]),
+        (lambda: controlled_shift(3), lambda op: [op.matrix]),
         (
             lambda: mub_family(5, 3),
             lambda f: [b.vectors for b in f.bases]
@@ -93,7 +107,7 @@ def _check_every_outcome(state, targets, basis):
     """
     forced = [measure_forced(state, targets, basis, j) for j in range(basis.dim)]
     probs = [p for _, p in forced]
-    before = measure_memo_stats()
+    before = memo_stats()
     seen = set()
     calls = 0
     while len(seen) < basis.dim:
@@ -108,7 +122,7 @@ def _check_every_outcome(state, targets, basis):
         np.testing.assert_array_equal(post.amps, ref_post.amps)
         seen.add(outcome)
         calls += 1
-    hits = measure_memo_stats().hits - before.hits
+    hits = memo_stats().hits - before.hits
     assert hits == (calls - 1) + (calls - basis.dim)
     return calls
 
@@ -150,8 +164,115 @@ def test_memo_table_evicts_least_recently_used():
     assert (stats.entries, stats.held) == (2, 8)
 
 
+def _flat(result):
+    """Every state in an op's result, as (labels, dims, amplitude bytes)."""
+    if isinstance(result, StateVector):
+        return [(result.labels, result.dims, result.amps.tobytes())]
+    if isinstance(result, tuple):
+        return [item for part in result for item in _flat(part)]
+    return [result]
+
+
+# The Bell basis read as a 9x9 unitary: one operator object that mixes two
+# registers.
+_MIX = UnitaryOp(9, bell_basis(3).vectors)
+
+_OPS = {
+    "tensor": lambda: tensor([random_state(("A",), (3,), 1), random_state(("B", "C"), (2, 3), 2)]),
+    "apply_unitary": lambda: apply_unitary(
+        random_state(("A", "B", "C"), (3, 2, 3), 3), _MIX, ["C", "A"]
+    ),
+    "factor": lambda: factor(
+        tensor([random_state(("A", "C"), (2, 3), 4), random_state(("B",), (5,), 5)]), ["C", "A"]
+    ),
+    "relabel": lambda: relabel(random_state(("A", "B"), (3, 2), 6), {"B": "E", "A": "F"}),
+    "measure": lambda: measure(
+        random_state(("A", "B", "C"), (3, 2, 3), 7), ["A", "C"], bell_basis(3), Rng(8)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_op_memo_hit_equals_cold_computation(name, monkeypatch):
+    op = _OPS[name]
+    first = op()
+    before = memo_stats()
+    hit = op()
+    after = memo_stats()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert _flat(hit) == _flat(first)
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
+    cold = op()
+    assert states.memo_stats().hits == 0
+    assert _flat(cold) == _flat(hit)
+
+
+def test_signed_zeros_are_separate_entries():
+    plus = StateVector(("A", "B"), (2, 2), np.array([1.0, 0.0, 0.0, 0.0]))
+    minus = StateVector(("A", "B"), (2, 2), np.array([1.0, -0.0, 0.0, 0.0]))
+    assert plus.amps.tobytes() != minus.amps.tobytes()
+    op = pauli_matrix(2, 1, 1)
+    from_plus = apply_unitary(plus, op, ["B"])
+    before = memo_stats()
+    assert apply_unitary(minus, op, ["B"]) is not from_plus
+    assert memo_stats().misses == before.misses + 1
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_copied_state_keys_like_its_original(duplicate):
+    state = random_state(("A", "B"), (3, 2), 13)
+    twin = duplicate(state)
+    assert twin is not state
+    op = pauli_matrix(3, 1, 1)
+    first = apply_unitary(state, op, ["A"])
+    assert apply_unitary(twin, op, ["A"]) is first
+    _assert_read_only(twin.amps)
+
+
+def test_list_and_tuple_targets_share_one_entry():
+    state = random_state(("A", "B", "C"), (2, 3, 2), 11)
+    op = pauli_matrix(3, 2, 1)
+    first = apply_unitary(state, op, ["B"])
+    before = memo_stats()
+    assert apply_unitary(state, op, ("B",)) is first
+    assert factor(tensor([first, basis_state(2, 1, "D")]), ["D"]) is factor(
+        tensor([first, basis_state(2, 1, "D")]), ("D",)
+    )
+    after = memo_stats()
+    assert after.hits == before.hits + 3  # the second apply, tensor and factor
+    assert after.misses == before.misses + 2  # the first tensor and factor
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: factor(bell_pair(3, ("A", "B")), ["A"]), FactorizationError),
+        (
+            lambda: apply_unitary(random_state(("A", "B"), (3, 2), 12), pauli_matrix(2, 1, 0), ["A"]),
+            DimensionError,
+        ),
+    ],
+)
+def test_failed_ops_raise_every_time_and_are_not_stored(call, error):
+    with pytest.raises(error):
+        call()
+    before = memo_stats()
+    for _ in range(2):
+        with pytest.raises(error):
+            call()
+    after = memo_stats()
+    assert after.misses == before.misses + 2
+    assert (after.hits, after.entries, after.held) == (before.hits, before.entries, before.held)
+
+
 def test_measure_memo_stays_within_limit_after_chain_d7():
-    before = measure_memo_stats()
+    """The one table every op shares stays within its limit, all ops counted."""
+    before = memo_stats()
     cfg = ChainConfig(
         base=SessionConfig(
             d=7, m=3, key_length=8, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
@@ -159,10 +280,10 @@ def test_measure_memo_stays_within_limit_after_chain_d7():
         hops=3,
     )
     run_chain(cfg)
-    after = measure_memo_stats()
+    after = memo_stats()
     assert after.evictions > before.evictions  # the run did fill the table
-    assert after.held <= MEASURE_MEMO_LIMIT
-    assert after.entries <= MEASURE_MEMO_LIMIT // MEASURE_MEMO_ENTRY_COST
+    assert after.held <= MEMO_LIMIT
+    assert after.entries <= MEMO_LIMIT // MEMO_ENTRY_COST
 
 
 _WARM_UP = [

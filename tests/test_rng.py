@@ -45,6 +45,19 @@ def test_nested_child_path():
     )
 
 
+@pytest.mark.parametrize("path", [(), (0,), (3,), (3, 41), (2, 7, 0), (1000, 5, 1)])
+def test_lazy_child_draws_like_an_eager_generator(path):
+    """A stream built on first draw gives the draws of one built up front."""
+    parent = Rng(2021)
+    lazy = parent.child(*path) if path else parent
+    assert "_gen" not in vars(lazy)  # naming a stream builds no generator
+    eager = np.random.Generator(np.random.Philox(np.random.SeedSequence(2021, spawn_key=path)))
+    assert np.array_equal(lazy.integers(0, 7, size=5), eager.integers(0, 7, size=5))
+    assert lazy.random() == eager.random()
+    assert np.array_equal(lazy.subset(20, 4), eager.choice(20, size=4, replace=False))
+    assert "_gen" not in vars(lazy.child(1))
+
+
 def test_seed_validation():
     with pytest.raises(ValueError):
         Rng(-1)

@@ -12,10 +12,13 @@ from siftfree_qkd import (
     apply_unitary,
     basis_state,
     bell_pair,
+    computational_basis,
     correction_op,
     fidelity,
     ghz_state,
+    measure,
     mub_family,
+    pauli_matrix,
     recycle,
     teleport,
     teleport_forced,
@@ -23,13 +26,42 @@ from siftfree_qkd import (
     teleport_ghz_forced,
     tensor,
 )
-from siftfree_qkd.states import MeasurementBasis
+from siftfree_qkd.states import NORM_TOL, MeasurementBasis
 from siftfree_qkd.teleport import TeleportOutcome, verify_recycle
 
-from oracles import ghz_bracket_expansion, teleport_reference
+from oracles import frame_x_shift, ghz_bracket_expansion, teleport_reference
 
 # The package's `teleport` attribute is the function; this is the module.
 teleport_module = importlib.import_module("siftfree_qkd.teleport")
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_kicked_round_reads_secret_plus_pauli_frame_shift(d):
+    """Every (basis, secret, k, l, kick on half B) against the exact oracle.
+
+    The dense path of one round: rotate half B, kick it with X^x Z^z, teleport
+    the secret with outcome (k, l), unrotate, read, subtract l. The digit must
+    be certain and equal to the secret plus the X-exponent of U^dagger P U.
+    """
+    m = 3 if d == 2 else d + 1
+    fam = mub_family(d, m)
+    read = computational_basis(d)
+    rng = Rng(0)
+    for i in range(m):
+        rotated = apply_unitary(bell_pair(d, ("A", "B")), fam.unitaries[i], ["B"])
+        for x in range(d):
+            for z in range(d):
+                # pauli_matrix(d, z, x) is Z^z X^x, X^x Z^z up to phase.
+                pair = apply_unitary(rotated, pauli_matrix(d, z, x), ["B"])
+                shift = frame_x_shift(d, i, x, z)
+                for secret in range(d):
+                    for k in range(d):
+                        for l in range(d):
+                            out = teleport_forced(basis_state(d, secret, "A_in"), pair, k, l)
+                            held = apply_unitary(out.receiver_state, fam.inverses[i], ["B"])
+                            outcome, _, prob = measure(held, ["B"], read, rng)
+                            assert prob > 1.0 - NORM_TOL
+                            assert (outcome - l) % d == (secret + shift) % d
 
 
 def random_qudit(d, seed, label="psi"):
