@@ -7,7 +7,6 @@ third-party-assisted, multi-hop chain) with a batch experiment harness.
 """
 
 from .bases import (
-    GeneralizedPauli,
     bell_basis,
     bell_pair,
     computational_basis,
@@ -29,11 +28,7 @@ from .channels import (
     SubstitutedAttack,
     apply_channel,
     attack_report,
-    bb84_correspondence_check,
-    blind_guess_monte_carlo,
     controlled_shift,
-    haar_state,
-    haar_unitary,
 )
 from .harness import (
     ExperimentSpec,

@@ -35,7 +35,6 @@ from .states import (
 __all__ = [
     "omega",
     "is_prime",
-    "GeneralizedPauli",
     "pauli_matrix",
     "computational_basis",
     "fourier_basis",
@@ -64,32 +63,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 1
     return True
-
-
-@dataclass(frozen=True)
-class GeneralizedPauli:
-    """Z^a X^b on a d-level system, exponents reduced mod d."""
-
-    d: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DimensionError("Pauli dimension must be >= 2")
-        if not (0 <= self.a < self.d and 0 <= self.b < self.d):
-            raise DimensionError(
-                f"exponents ({self.a}, {self.b}) must lie in 0..{self.d - 1}"
-            )
-
-    def matrix(self) -> UnitaryOp:
-        return pauli_matrix(self.d, self.a, self.b)
-
-    def compose(self, other: "GeneralizedPauli") -> "GeneralizedPauli":
-        """Product self*other up to a global phase (exponents add mod d)."""
-        if self.d != other.d:
-            raise DimensionError("cannot compose Paulis of different dimension")
-        return GeneralizedPauli(self.d, (self.a + other.a) % self.d, (self.b + other.b) % self.d)
 
 
 @memoized
@@ -195,9 +168,6 @@ class BellBasis(MeasurementBasis):
     def index(self, k: int, l: int) -> int:
         return (k % self.d) * self.d + (l % self.d)
 
-    def kl(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.d)
-
 
 @memoized
 def bell_basis(d: int) -> BellBasis:
@@ -256,23 +226,12 @@ def ghz_basis() -> MeasurementBasis:
     return MeasurementBasis(8, vecs)
 
 
-def ghz_recycle_ops() -> dict[int, tuple[GeneralizedPauli, GeneralizedPauli]]:
-    """Per-outcome byproduct pair on qubits 2 and 3 of the measured triple.
+@memoized
+def ghz_recycle_ops() -> tuple[tuple[UnitaryOp, UnitaryOp], ...]:
+    """Byproduct pair on qubits 2 and 3 of the measured triple, by outcome.
 
     Applying the pair to the collapsed basis vector returns the canonical
     (|000> + |111>)/sqrt2 up to global phase, so the triple can be reused.
     """
-    I = GeneralizedPauli(2, 0, 0)
-    X = GeneralizedPauli(2, 0, 1)
-    Z = GeneralizedPauli(2, 1, 0)
-    ZX = GeneralizedPauli(2, 1, 1)
-    return {
-        0: (I, I),
-        1: (I, X),
-        2: (Z, I),
-        3: (Z, X),
-        4: (X, I),
-        5: (X, X),
-        6: (ZX, X),
-        7: (ZX, I),
-    }
+    I, X, Z, ZX = (pauli_matrix(2, a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return ((I, I), (I, X), (Z, I), (Z, X), (X, I), (X, X), (ZX, X), (ZX, I))

@@ -1,4 +1,4 @@
-"""Transmission channel models, eavesdropper strategies, and attack analysis.
+"""Transmission channel models, eavesdropper strategies, and attack reports.
 
 A channel model describes what happens to the transmitted half of an
 entangled state on its way to the receiver:
@@ -14,12 +14,6 @@ entangled state on its way to the receiver:
     PurifiedAttack    a fresh ancilla |0> is attached and a fixed unitary
                       couples carrier and ancilla; the most general
                       one-ancilla interaction up to the ancilla dimension
-
-Also here: Monte Carlo estimation of the blind-guessing bound (a party who
-never touches the carrier guesses a uniform secret dit with rate exactly
-1/d, whatever state she shares and however she measures), and the exact
-correspondence between a purified attack on this protocol and the standard
-prepare-and-measure attack form U_E[U_i|s+l>|0>].
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .bases import bell_pair, mub_family, pauli_matrix
+from .bases import bell_pair, pauli_matrix
 from .memo import memoized
 from .rng import Rng
 from .states import (
@@ -38,11 +32,9 @@ from .states import (
     UnitaryOp,
     apply_unitary,
     basis_state,
-    fidelity,
     relabel,
     tensor,
 )
-from .teleport import teleport_forced
 
 __all__ = [
     "Ideal",
@@ -54,11 +46,7 @@ __all__ = [
     "ChannelResult",
     "added_dim",
     "apply_channel",
-    "haar_unitary",
-    "haar_state",
     "controlled_shift",
-    "blind_guess_monte_carlo",
-    "bb84_correspondence_check",
     "AttackReport",
     "attack_report",
 ]
@@ -181,20 +169,6 @@ def apply_channel(
     raise DimensionError(f"unknown channel model {model!r}")
 
 
-def haar_unitary(dim: int, rng: Rng) -> UnitaryOp:
-    """Haar-distributed unitary via QR of a complex gaussian matrix."""
-    z = rng.complex_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return UnitaryOp(dim, q * (diag / np.abs(diag)))
-
-
-def haar_state(dim: int, rng: Rng) -> np.ndarray:
-    """Haar-distributed unit vector."""
-    v = rng.complex_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 @memoized
 def controlled_shift(d: int) -> UnitaryOp:
     """|b>|e> -> |b>|e + b mod d>, the textbook copy-style coupling.
@@ -207,71 +181,6 @@ def controlled_shift(d: int) -> UnitaryOp:
         for e in range(d):
             mat[b * d + (e + b) % d, b * d + e] = 1.0
     return UnitaryOp(d * d, mat)
-
-
-def blind_guess_monte_carlo(
-    d: int, n_strategies: int, trials_per: int, rng: Rng
-) -> float:
-    """Estimate the success rate of guessing a uniform secret dit blind.
-
-    Each strategy draws a Haar-random shared pure state on two d-level
-    registers and Haar-random projective measurements for both the guesser
-    and her partner. The two measurements commute (disjoint registers), so
-    one draw from their exact joint Born distribution per trial is a
-    faithful sample. The pooled success rate estimates a quantity that is
-    exactly 1/d for every strategy.
-    """
-    if n_strategies < 1 or trials_per < 1:
-        raise DimensionError("need at least one strategy and one trial")
-    hits = 0
-    for strat in range(n_strategies):
-        srng = rng.child(strat)
-        eta = haar_state(d * d, srng).reshape(d, d)  # index (guesser, partner)
-        guess_vecs = haar_unitary(d, srng).matrix.T  # row t: outcome-t vector
-        partner_vecs = haar_unitary(d, srng).matrix.T
-        amp = guess_vecs.conj() @ eta @ partner_vecs.conj().T
-        joint = (np.abs(amp) ** 2).reshape(-1)
-        trng = srng.child(0)
-        for _ in range(trials_per):
-            secret = int(trng.integers(0, d))
-            outcome = trng.pick(joint)
-            guess = outcome // d
-            hits += int(guess == secret)
-    return hits / (n_strategies * trials_per)
-
-
-def bb84_correspondence_check(
-    u_e: UnitaryOp,
-    s: int,
-    l: int,
-    i: int,
-    k: int = 0,
-    d: int = 2,
-    m: int = 2,
-) -> float:
-    """Fidelity between the protocol's receiver+ancilla state and the
-    prepare-and-measure attack form U_E[(U_i |s+l>) |0>].
-
-    The protocol side is computed end to end: rotate the pair half, couple
-    the ancilla, teleport |s> with forced outcome (k, l). Equality (up to
-    global phase, hence fidelity 1) says a purified attack on this protocol
-    is exactly an attack on a prepare-and-measure scheme.
-    """
-    anc_dim = _ancilla_dim(u_e, d)
-    fam = mub_family(d, m)
-    rot = fam.unitaries[i]
-
-    pair = bell_pair(d, ("A", "B"))
-    pair = apply_unitary(pair, rot, ["B"])
-    joint = tensor([pair, basis_state(anc_dim, 0, "E")])
-    joint = apply_unitary(joint, u_e, ["B", "E"])
-    out = teleport_forced(basis_state(d, s, "A_in"), joint, k, l)
-    protocol_side = out.receiver_state  # subsystems B, E
-
-    prepared = apply_unitary(basis_state(d, (s + l) % d, "B"), rot, ["B"])
-    reference = tensor([prepared, basis_state(anc_dim, 0, "E")])
-    reference = apply_unitary(reference, u_e, ["B", "E"])
-    return fidelity(protocol_side, reference)
 
 
 @dataclass(frozen=True)

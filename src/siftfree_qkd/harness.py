@@ -11,7 +11,7 @@ with 17 significant digits, which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -54,8 +54,6 @@ __all__ = [
 
 MODES = ("two_party", "pre_check", "third_party_untrusted", "third_party_trusted", "chain")
 CHANNEL_KINDS = ("ideal", "depolarizing", "loss", "substituted", "purified")
-
-CSV_HEADER = "trial,seed,error_rate,aborted,agreement,eve_match,recycled"
 
 # Seed-derivation branch for trials; distinct from every in-session purpose
 # index so a trial's own child streams can never collide with it.
@@ -118,6 +116,11 @@ class TrialRecord:
     agreement: float
     eve_match: float
     recycled: int
+
+
+# The per-trial fields in output order: the CSV header and columns, and the
+# keys of each summary row.
+_TRIAL_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -293,10 +296,7 @@ def summary_document(summary: ExperimentSummary) -> str:
     lines.append(f'    "{aggregates[-1][0]}": {_fmt(aggregates[-1][1])}')
     lines += ["  },", '  "per_trial": [']
     for i, rec in enumerate(summary.per_trial):
-        row = ", ".join(
-            f'"{name}": {_fmt(getattr(rec, name))}'
-            for name in ("trial", "seed", "error_rate", "aborted", "agreement", "eve_match", "recycled")
-        )
+        row = ", ".join(f'"{name}": {_fmt(getattr(rec, name))}' for name in _TRIAL_FIELDS)
         comma = "," if i < len(summary.per_trial) - 1 else ""
         lines.append("    {" + row + "}" + comma)
     lines += ["  ]", "}"]
@@ -305,19 +305,7 @@ def summary_document(summary: ExperimentSummary) -> str:
 
 def summary_csv(summary: ExperimentSummary) -> str:
     """Per-trial rows under the fixed header, floats at 17 digits."""
-    lines = [CSV_HEADER]
+    lines = [",".join(_TRIAL_FIELDS)]
     for rec in summary.per_trial:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.trial),
-                    str(rec.seed),
-                    format(rec.error_rate, ".17g"),
-                    "true" if rec.aborted else "false",
-                    format(rec.agreement, ".17g"),
-                    format(rec.eve_match, ".17g"),
-                    str(rec.recycled),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(getattr(rec, name)) for name in _TRIAL_FIELDS))
     return "".join(line + "\n" for line in lines)

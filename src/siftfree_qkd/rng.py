@@ -8,7 +8,9 @@ yields identical outputs on every platform.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,12 +61,15 @@ class Rng:
         return self._gen.choice(n, size=k, replace=False)
 
     def pick(self, probs) -> int:
-        """Sample an index from a (not necessarily normalized) weight vector."""
-        probs = np.asarray(probs, dtype=float)
-        edges = np.cumsum(probs)
+        """Sample an index from a (not necessarily normalized) weight vector.
+
+        Running sums in plain floats: the same edges and index as numpy's
+        cumsum and searchsorted(side="right"), at a fraction of the cost
+        for the few dozen weights of a measurement.
+        """
+        edges = list(accumulate(np.asarray(probs, dtype=float).tolist()))
         u = self._gen.random() * edges[-1]
-        idx = int(np.searchsorted(edges, u, side="right"))
-        return min(idx, len(probs) - 1)
+        return min(bisect_right(edges, u), len(edges) - 1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, path={self.path})"

@@ -302,9 +302,9 @@ class _Session:
     which the stages run never changes a draw.
     """
 
-    def __init__(self, config: SessionConfig, rng: Optional[Rng]):
+    def __init__(self, config: SessionConfig):
         self.config = config
-        self.rng = rng if rng is not None else Rng(config.seed)
+        self.rng = Rng(config.seed)
         self.d, self.n, self.total = config.d, config.key_length, 2 * config.key_length
         self.fam = mub_family(config.d, config.m)
         self.rotations = self._draw(_R_ROTATIONS, config.m)
@@ -397,8 +397,10 @@ def _usable_check_bases(fam: MubFamily) -> tuple[tuple[int, tuple[int, ...]], ..
     canonical pair. The sender's projection leaves the receiver in the
     conjugated basis vector, so re-measuring in the same basis is
     deterministic only when the basis is closed under conjugation up to a
-    permutation. Bases where it is not (possible for d > 3 ... strictly,
-    for the quadratic-phase members at odd d) are excluded.
+    permutation. At odd prime d only bases 0 (computational, j -> j) and 1
+    (Fourier, j -> -j mod d) are: conjugation turns quadratic-phase member
+    t into member -t. At d = 2 all three are; the circular basis swaps its
+    two outcomes.
     """
     pair = bell_pair(fam.d, ("A", "B"))
     usable = []
@@ -570,7 +572,7 @@ def _verify_then_key(
     return _result(s, verdict, bob, eve, recycled, alice_digits=alice)
 
 
-def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult:
+def run_two_party(config: SessionConfig) -> KeyResult:
     """Plain two-party session: 2N rounds, N random positions compared.
 
     Round r: make a canonical pair, rotate the transmitted half by the
@@ -580,7 +582,7 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     unrotates, measures, and subtracts the shifts. Digits at the check
     positions are compared in public and the rest become the key.
     """
-    s = _Session(config, rng)
+    s = _Session(config)
     received: list[tuple[StateVector, int, tuple[str, ...]]] = []
     for r in range(s.total):
         sent = _send_rotated_pair(s, r)
@@ -599,7 +601,7 @@ def run_two_party(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total)
 
 
-def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult:
+def run_pre_check(config: SessionConfig) -> KeyResult:
     """Entanglement-verification-first session.
 
     The sender measures her half of N randomly chosen pairs in randomly
@@ -609,15 +611,13 @@ def run_pre_check(config: SessionConfig, rng: Optional[Rng] = None) -> KeyResult
     within threshold, the surviving N pairs carry the secret dits with no
     further digit comparison. Only those N pairs are recycled.
     """
-    s = _Session(config, rng)
+    s = _Session(config)
     states, eve_regs = _arrivals(_send_rotated_pair(s, r) for r in range(s.total))
     s.say(BOB, ALICE, "ack_received")
     return _verify_then_key(s, states, eve_regs, from_sender=True)
 
 
-def run_third_party(
-    config: SessionConfig, trusted: bool = False, rng: Optional[Rng] = None
-) -> KeyResult:
+def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     """Middleman session over three-qubit states (d = 2 only).
 
     The middleman prepares 2N triples, keeps one qubit of each, and sends
@@ -636,7 +636,7 @@ def run_third_party(
     """
     if config.d != 2:
         raise ConfigError("third-party distribution is defined for d = 2 only")
-    s = _Session(config, rng)
+    s = _Session(config)
     hadamard = mub_family(2, 2).unitaries[1]
     mask_rng = s.rng.child(_R_MASKS)
     masks_a = [int(x) for x in mask_rng.integers(0, 2, size=s.total)] if trusted else [0] * s.total
@@ -680,7 +680,7 @@ def run_third_party(
     )
 
 
-def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
+def run_chain(config: ChainConfig) -> KeyResult:
     """Hop-by-hop teleportation between sender and receiver.
 
     Link pairs stay unrotated; instead the sender teleports the rotated dit
@@ -691,7 +691,7 @@ def run_chain(config: ChainConfig, rng: Optional[Rng] = None) -> KeyResult:
     unrotates once the rotation string is public and reads the dit with no
     shift subtraction. The comparison stage matches the plain session.
     """
-    s = _Session(config.base, rng)
+    s = _Session(config.base)
     d, hops, channels = s.d, config.hops, config.channels()
     parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
     byproducts: list[list[tuple[int, int]]] = []

@@ -183,11 +183,6 @@ class UnitaryOp:
     def inverse(self) -> "UnitaryOp":
         return UnitaryOp(self.dim, self.matrix.conj().T)
 
-    def __matmul__(self, other: "UnitaryOp") -> "UnitaryOp":
-        if self.dim != other.dim:
-            raise DimensionError("cannot compose unitaries of different dimension")
-        return UnitaryOp(self.dim, self.matrix @ other.matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:

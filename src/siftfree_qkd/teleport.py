@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bases import bell_basis, bell_pair, ghz_basis, ghz_recycle_ops, ghz_state, pauli_matrix
-from .memo import memoized
 from .rng import Rng
 from .states import (
     NORM_TOL,
@@ -116,22 +115,16 @@ def correction_op(d: int, k: int, l: int) -> UnitaryOp:
     return pauli_matrix(d, k % d, (-l) % d)
 
 
-@memoized
-def _recycle_fix(d: int, k: int, l: int) -> UnitaryOp:
-    """X^(-l) Z^(-k), the second-qudit fix-up after outcome (k, l)."""
-    return pauli_matrix(d, 0, (-l) % d) @ pauli_matrix(d, (-k) % d, 0)
-
-
 def recycle(residual: StateVector, k: int, l: int) -> StateVector:
     """Restore a collapsed sender pair to the canonical (0, 0) pair.
 
-    Applies X^(-l) Z^(-k) to the second qudit; the result matches
+    Applies Z^(-k) X^(-l) to the second qudit; the result matches
     bell_pair(d) up to global phase.
     """
     if len(residual.labels) != 2 or residual.dims[0] != residual.dims[1]:
         raise DimensionError("residual must be a pair of equal-dimension qudits")
     d = residual.dims[0]
-    return apply_unitary(residual, _recycle_fix(d, k % d, l % d), [residual.labels[1]])
+    return apply_unitary(residual, pauli_matrix(d, -k % d, -l % d), [residual.labels[1]])
 
 
 def verify_recycle(outcome: TeleportOutcome) -> StateVector:
@@ -154,17 +147,10 @@ def _ghz_joint(flying: StateVector, ghz: StateVector) -> tuple[StateVector, list
     return tensor([flying, ghz]), list(flying.labels) + [ghz.labels[0]]
 
 
-@memoized
-def _ghz_fix(outcome: int) -> tuple[UnitaryOp, UnitaryOp]:
-    """The fix-ups on qubits 2 and 3 of the triple measured as `outcome`."""
-    op2, op3 = ghz_recycle_ops()[outcome]
-    return op2.matrix(), op3.matrix()
-
-
 def _recycle_ghz(post: StateVector, targets: list[str], outcome: int) -> StateVector:
     """Split off the measured triple, restore it to GHZ form, return the rest."""
     residual, rest = factor(post, targets)
-    op2, op3 = _ghz_fix(outcome)
+    op2, op3 = ghz_recycle_ops()[outcome]
     restored = apply_unitary(residual, op2, [targets[1]])
     restored = apply_unitary(restored, op3, [targets[2]])
     if fidelity(restored, ghz_state(tuple(targets))) < 1.0 - NORM_TOL:

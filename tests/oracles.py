@@ -3,9 +3,29 @@
 Everything here is deliberately written from scratch against plain numpy
 (explicit loops, no imports from the package under test) so that agreement
 between package and oracle is meaningful. Keep it dumb and readable.
+
+The exception is the last section: the blind-guessing estimate (acceptance
+criterion 06) and the purified-attack correspondence (criterion 07) drive
+the package's own `Rng` and engine. They check the simulator against the
+paper's arguments; no protocol session needs them.
 """
 
 import numpy as np
+
+from siftfree_qkd import (
+    DimensionError,
+    PurifiedAttack,
+    Rng,
+    UnitaryOp,
+    apply_unitary,
+    basis_state,
+    bell_pair,
+    fidelity,
+    mub_family,
+    teleport_forced,
+    tensor,
+)
+from siftfree_qkd.channels import added_dim
 
 
 def born_probabilities(joint, dims, target_axes, basis_vectors):
@@ -209,3 +229,85 @@ def controlled_shift_check_error(d=2):
                     total += 1.0 - float(digit_probs[(s + l) % d])
                     count += 1
     return total / count
+
+
+# -- Gate physics on the package's own engine (criteria 06 and 07) --------
+
+
+def haar_unitary(dim: int, rng: Rng) -> UnitaryOp:
+    """Haar-distributed unitary via QR of a complex gaussian matrix."""
+    z = rng.complex_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return UnitaryOp(dim, q * (diag / np.abs(diag)))
+
+
+def haar_state(dim: int, rng: Rng) -> np.ndarray:
+    """Haar-distributed unit vector."""
+    v = rng.complex_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def blind_guess_monte_carlo(
+    d: int, n_strategies: int, trials_per: int, rng: Rng
+) -> float:
+    """Estimate the success rate of guessing a uniform secret dit blind.
+
+    Each strategy draws a Haar-random shared pure state on two d-level
+    registers and Haar-random projective measurements for both the guesser
+    and her partner. The two measurements commute (disjoint registers), so
+    one draw from their exact joint Born distribution per trial is a
+    faithful sample. The pooled success rate estimates a quantity that is
+    exactly 1/d for every strategy.
+    """
+    if n_strategies < 1 or trials_per < 1:
+        raise DimensionError("need at least one strategy and one trial")
+    hits = 0
+    for strat in range(n_strategies):
+        srng = rng.child(strat)
+        eta = haar_state(d * d, srng).reshape(d, d)  # index (guesser, partner)
+        guess_vecs = haar_unitary(d, srng).matrix.T  # row t: outcome-t vector
+        partner_vecs = haar_unitary(d, srng).matrix.T
+        amp = guess_vecs.conj() @ eta @ partner_vecs.conj().T
+        joint = (np.abs(amp) ** 2).reshape(-1)
+        trng = srng.child(0)
+        for _ in range(trials_per):
+            secret = int(trng.integers(0, d))
+            outcome = trng.pick(joint)
+            guess = outcome // d
+            hits += int(guess == secret)
+    return hits / (n_strategies * trials_per)
+
+
+def bb84_correspondence_check(
+    u_e: UnitaryOp,
+    s: int,
+    l: int,
+    i: int,
+    k: int = 0,
+    d: int = 2,
+    m: int = 2,
+) -> float:
+    """Fidelity between the protocol's receiver+ancilla state and the
+    prepare-and-measure attack form U_E[(U_i |s+l>) |0>].
+
+    The protocol side is computed end to end: rotate the pair half, couple
+    the ancilla, teleport |s> with forced outcome (k, l). Equality (up to
+    global phase, hence fidelity 1) says a purified attack on this protocol
+    is exactly an attack on a prepare-and-measure scheme.
+    """
+    anc_dim = added_dim(PurifiedAttack(u_e), d)
+    fam = mub_family(d, m)
+    rot = fam.unitaries[i]
+
+    pair = bell_pair(d, ("A", "B"))
+    pair = apply_unitary(pair, rot, ["B"])
+    joint = tensor([pair, basis_state(anc_dim, 0, "E")])
+    joint = apply_unitary(joint, u_e, ["B", "E"])
+    out = teleport_forced(basis_state(d, s, "A_in"), joint, k, l)
+    protocol_side = out.receiver_state  # subsystems B, E
+
+    prepared = apply_unitary(basis_state(d, (s + l) % d, "B"), rot, ["B"])
+    reference = tensor([prepared, basis_state(anc_dim, 0, "E")])
+    reference = apply_unitary(reference, u_e, ["B", "E"])
+    return fidelity(protocol_side, reference)

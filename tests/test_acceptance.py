@@ -21,9 +21,7 @@ from siftfree_qkd import (
     apply_unitary,
     attack_report,
     basis_state,
-    bb84_correspondence_check,
     bell_pair,
-    blind_guess_monte_carlo,
     controlled_shift,
     correction_op,
     emit_transcript,
@@ -31,7 +29,6 @@ from siftfree_qkd import (
     ghz_basis,
     ghz_recycle_ops,
     ghz_state,
-    haar_unitary,
     mub_family,
     run_chain,
     run_experiment,
@@ -46,9 +43,12 @@ from siftfree_qkd import (
 )
 
 from oracles import (
+    bb84_correspondence_check,
     binomial_sigma,
+    blind_guess_monte_carlo,
     depolarizing_check_error,
     ghz_bracket_expansion,
+    haar_unitary,
 )
 
 
@@ -248,8 +248,8 @@ def test_criterion_08_bracket_expansion_and_ghz_recycling():
     for outcome in range(8):
         collapsed = StateVector(("C1", "C2", "C"), (2, 2, 2), basis.vectors[outcome])
         op2, op3 = table[outcome]
-        restored = apply_unitary(collapsed, op2.matrix(), ["C2"])
-        restored = apply_unitary(restored, op3.matrix(), ["C"])
+        restored = apply_unitary(collapsed, op2, ["C2"])
+        restored = apply_unitary(restored, op3, ["C"])
         assert fidelity(restored, canonical) > 1 - 1e-12
     print(
         f"[PASS] criterion 8: bracket expansion exact, sampled within 5 sigma "
@@ -274,6 +274,26 @@ def test_criterion_09_depolarizing_calibration():
             f"{res.observed_error_rate:.4f} ~ oracle {expected:.4f} "
             f"(3 sigma = {3 * sigma:.4f})"
         )
+
+
+def test_criterion_09_depolarizing_calibration_at_larger_d():
+    """d in {5, 7}: the check error tracks the oracle's p (d-1)/d."""
+    for d in (5, 7):
+        for p in (0.1, 0.3):
+            expected = depolarizing_check_error(d, p, 2)
+            assert abs(expected - p * (d - 1) / d) < 1e-12
+            cfg = SessionConfig(
+                d=d, m=2, key_length=512, seed=9000 + 100 * d + round(10 * p),
+                abort_threshold=1.0, channel=Depolarizing(p),
+            )
+            res = run_two_party(cfg)
+            sigma = binomial_sigma(expected, 512)
+            assert abs(res.observed_error_rate - expected) < 3 * sigma
+            print(
+                f"[PASS] criterion 9: d={d} depolarizing p={p} error "
+                f"{res.observed_error_rate:.4f} ~ oracle {expected:.4f} "
+                f"(3 sigma = {3 * sigma:.4f})"
+            )
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):

@@ -15,17 +15,19 @@ from siftfree_qkd import (
     SubstitutedAttack,
     apply_channel,
     attack_report,
-    bb84_correspondence_check,
     bell_pair,
-    blind_guess_monte_carlo,
     controlled_shift,
     fidelity,
-    haar_state,
-    haar_unitary,
     run_two_party,
 )
 
-from oracles import binomial_sigma
+from oracles import (
+    bb84_correspondence_check,
+    binomial_sigma,
+    blind_guess_monte_carlo,
+    haar_state,
+    haar_unitary,
+)
 
 
 def test_parameter_validation():

@@ -12,6 +12,7 @@ from siftfree_qkd import (
     Depolarizing,
     ExperimentSpec,
     Ideal,
+    KeyResult,
     Loss,
     PurifiedAttack,
     SubstitutedAttack,
@@ -268,6 +269,16 @@ def test_readme_flag_table_matches_parser():
         if flag not in ("-h", "--help")
     }
     assert documented == parsed
+
+
+def test_readme_library_use_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert isinstance(namespace["result"], KeyResult)
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_transcript_file_is_trial_zero_of_the_same_run(tmp_path, monkeypatch):

@@ -47,6 +47,7 @@ from siftfree_qkd.states import (
     memo_stats,
 )
 
+from test_golden import GOLDEN, _digest, _key
 from test_states import random_state
 
 
@@ -284,6 +285,25 @@ def test_measure_memo_stays_within_limit_after_chain_d7():
     assert after.evictions > before.evictions  # the run did fill the table
     assert after.held <= MEMO_LIMIT
     assert after.entries <= MEMO_LIMIT // MEMO_ENTRY_COST
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ("two_party", "substituted", 3, 1),
+        ("pre_check", "loss", 3, 1),
+        ("chain", "depolarizing", 3, 3),
+        ("third_party_trusted", "purified", 2, 1),
+    ],
+    ids=lambda c: _key(*c),
+)
+def test_thrashing_memo_leaves_golden_digests_unchanged(config, monkeypatch):
+    """A 256-unit table evicts on nearly every put; no output may notice."""
+    monkeypatch.setattr(states, "_memo", MemoTable(256))
+    assert _digest(*config) == GOLDEN[_key(*config)]
+    stats = memo_stats()
+    assert stats.evictions > stats.misses // 2
+    assert stats.held <= 256
 
 
 _WARM_UP = [

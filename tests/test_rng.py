@@ -1,5 +1,7 @@
 """Splittable random stream behavior everything else leans on."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,30 @@ def test_pick_frequency_roughly_matches():
     for _ in range(n):
         counts[r.pick(probs)] += 1
     assert np.abs(counts / n - probs).max() < 5 * np.sqrt(0.5 * 0.5 / n)
+
+
+def test_pick_matches_numpy_cumsum_and_searchsorted():
+    """Same index as numpy's cumsum/searchsorted for the same draw.
+
+    20,000 weight vectors of 1 to 49 entries (d=7 Bell outcomes need 49):
+    normalized Born-like weights, raw scales and vectors with zeros.
+    """
+    gen = np.random.default_rng(20211018)
+    picker, twin = Rng(31), Rng(31)
+    with_zeros = 0
+    for n in range(20_000):
+        weights = gen.random(int(gen.integers(1, 50))) * 10.0 ** gen.integers(-3, 4)
+        if n % 3 == 0:
+            weights[gen.random(weights.size) < 0.4] = 0.0
+            with_zeros += bool((weights == 0).any())
+        if n % 3 == 1:
+            weights = weights / weights.sum()
+        edges = np.cumsum(weights)
+        # pick's running sums are numpy's edges bit for bit, not just close.
+        assert list(accumulate(weights.tolist())) == edges.tolist()
+        expected = int(np.searchsorted(edges, twin.random() * edges[-1], side="right"))
+        assert picker.pick(weights) == min(expected, weights.size - 1)
+    assert with_zeros > 5_000
 
 
 def test_complex_normal_shape_and_spread():

@@ -19,6 +19,7 @@ from siftfree_qkd import (
     SubstitutedAttack,
     attack_report,
     controlled_shift,
+    mub_family,
     parse_transcript,
     run_chain,
     run_pre_check,
@@ -26,6 +27,7 @@ from siftfree_qkd import (
     run_two_party,
     serialize_transcript,
 )
+from siftfree_qkd.sessions import _usable_check_bases
 
 from oracles import binomial_sigma
 
@@ -123,6 +125,21 @@ def test_chain_noiseless_completeness(d, hops):
     assert not res.aborted
     assert res.alice_key == res.bob_key
     assert res.recycled_pairs == hops * 16
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_check_bases_are_computational_and_fourier_at_odd_d(d):
+    """Of a full family, only bases closed under conjugation serve checks.
+
+    At odd prime d that is the computational basis (sender outcome j
+    implies j) and the Fourier basis (j implies -j mod d); at d = 2 the
+    circular basis qualifies too, with its two outcomes swapped.
+    """
+    full = mub_family(d, 3 if d == 2 else d + 1)
+    expected = ((0, tuple(range(d))), (1, tuple(-j % d for j in range(d))))
+    if d == 2:
+        expected += ((2, (1, 0)),)
+    assert _usable_check_bases(full) == expected
 
 
 def test_key_digit_uniformity():
