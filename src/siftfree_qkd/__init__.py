@@ -45,7 +45,6 @@ from .sessions import (
     ConfigError,
     KeyResult,
     SessionConfig,
-    parse_transcript,
     run_chain,
     run_pre_check,
     run_third_party,
@@ -65,7 +64,6 @@ from .states import (
     factor,
     fidelity,
     measure,
-    measure_forced,
     relabel,
     tensor,
 )
@@ -73,9 +71,7 @@ from .teleport import (
     correction_op,
     recycle,
     teleport,
-    teleport_forced,
     teleport_ghz,
-    teleport_ghz_forced,
 )
 
 __version__ = "0.1.0"

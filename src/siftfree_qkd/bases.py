@@ -40,7 +40,6 @@ __all__ = [
     "fourier_basis",
     "MubFamily",
     "mub_family",
-    "BellBasis",
     "bell_basis",
     "bell_pair",
     "ghz_state",
@@ -155,22 +154,13 @@ def mub_family(d: int, m: int) -> MubFamily:
     return MubFamily(d, bases, tuple(unitaries))
 
 
-@dataclass(frozen=True, eq=False)
-class BellBasis(MeasurementBasis):
+@memoized
+def bell_basis(d: int) -> MeasurementBasis:
     """Maximally entangled basis of two d-level systems.
 
     Outcome (k, l) sits at flat index k*d + l and has vector
     (1/sqrt d) * sum_j omega^(j*k) |j>|j+l mod d>.
     """
-
-    d: int = 0
-
-    def index(self, k: int, l: int) -> int:
-        return (k % self.d) * self.d + (l % self.d)
-
-
-@memoized
-def bell_basis(d: int) -> BellBasis:
     if d < 2:
         raise DimensionError("Bell basis needs d >= 2")
     w = omega(d)
@@ -181,7 +171,7 @@ def bell_basis(d: int) -> BellBasis:
             for j in range(d):
                 v[j * d + (j + l) % d] = w ** (j * k)
             vecs[k * d + l] = v / np.sqrt(d)
-    return BellBasis(d * d, vecs, d)
+    return MeasurementBasis(d * d, vecs)
 
 
 @memoized

@@ -94,13 +94,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if flag is not None:
                 values[key] = flag
         spec = ExperimentSpec(**{_OPTIONS[key].field: value for key, value in values.items()})
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         summary = run_experiment(spec)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

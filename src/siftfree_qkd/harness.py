@@ -135,6 +135,13 @@ class ExperimentSummary:
     total_recycled: int
 
 
+# The aggregate fields in output order: the rows of the summary's
+# "aggregates" object.
+_AGGREGATE_FIELDS = tuple(
+    f.name for f in fields(ExperimentSummary) if f.name not in ("spec", "per_trial")
+)
+
+
 def build_channel(kind: str, noise_p: float, d: int) -> ChannelModel:
     if kind == "ideal":
         return Ideal()
@@ -265,6 +272,12 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _object_block(name: str, rows: list[tuple[str, object]]) -> list[str]:
+    """Lines of one named JSON object, one `"key": value` row per line."""
+    body = [f'    "{k}": {_fmt(v)}' for k, v in rows]
+    return [f'  "{name}": {{'] + [line + "," for line in body[:-1]] + body[-1:] + ["  },"]
+
+
 def summary_document(summary: ExperimentSummary) -> str:
     """Structured summary text (JSON) with 17-significant-digit floats."""
     spec = summary.spec
@@ -280,21 +293,9 @@ def summary_document(summary: ExperimentSummary) -> str:
         ("hops", spec.hops),
         ("abort_threshold", float(spec.abort_threshold)),
     ]
-    aggregates = [
-        ("mean_error_rate", summary.mean_error_rate),
-        ("stddev_error_rate", summary.stddev_error_rate),
-        ("abort_fraction", summary.abort_fraction),
-        ("mean_agreement", summary.mean_agreement),
-        ("mean_eve_match", summary.mean_eve_match),
-        ("total_recycled", summary.total_recycled),
-    ]
-    lines = ["{", '  "experiment": {']
-    lines += [f'    "{k}": {_fmt(v)},' for k, v in head[:-1]]
-    lines.append(f'    "{head[-1][0]}": {_fmt(head[-1][1])}')
-    lines += ["  },", '  "aggregates": {']
-    lines += [f'    "{k}": {_fmt(v)},' for k, v in aggregates[:-1]]
-    lines.append(f'    "{aggregates[-1][0]}": {_fmt(aggregates[-1][1])}')
-    lines += ["  },", '  "per_trial": [']
+    aggregates = [(name, getattr(summary, name)) for name in _AGGREGATE_FIELDS]
+    lines = ["{"] + _object_block("experiment", head) + _object_block("aggregates", aggregates)
+    lines.append('  "per_trial": [')
     for i, rec in enumerate(summary.per_trial):
         row = ", ".join(f'"{name}": {_fmt(getattr(rec, name))}' for name in _TRIAL_FIELDS)
         comma = "," if i < len(summary.per_trial) - 1 else ""

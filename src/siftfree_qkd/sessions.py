@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -57,9 +58,7 @@ from .states import (
     UnitaryOp,
     apply_unitary,
     basis_state,
-    factor,
     measure,
-    measure_forced,
     tensor,
 )
 from .teleport import correction_op, teleport, teleport_ghz, verify_recycle
@@ -73,7 +72,6 @@ __all__ = [
     "MESSAGE_KINDS",
     "ClassicalMessage",
     "serialize_transcript",
-    "parse_transcript",
     "check_teleport_size",
     "SessionConfig",
     "ChainConfig",
@@ -158,20 +156,6 @@ def serialize_transcript(messages: Sequence[ClassicalMessage]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_transcript(text: str) -> tuple[ClassicalMessage, ...]:
-    messages = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(" ")
-        if len(parts) != 4:
-            raise ConfigError(f"transcript line {lineno} is malformed: {line!r}")
-        sender, recipient, kind, payload = parts
-        values = () if payload == "-" else tuple(int(x) for x in payload.split(","))
-        messages.append(ClassicalMessage(sender, recipient, kind, values))
-    return tuple(messages)
-
-
 def _eavesdropped(channel: ChannelModel) -> bool:
     return isinstance(channel, (SubstitutedAttack, PurifiedAttack))
 
@@ -182,17 +166,17 @@ def _eve_unrotates(channel: ChannelModel) -> bool:
 
 
 def check_teleport_size(d: int, added: int, kind: str) -> None:
-    """ConfigError unless a first teleport fits within MAX_AMPLITUDES.
+    """ConfigError unless a teleport fits within MAX_AMPLITUDES.
 
     It holds d**3 amplitudes times `added`, the dimension of the registers
-    a `kind` channel adds to the sent pair.
+    `kind` channels have added to the carried state and the sent pair.
     """
     if d**3 * added > MAX_AMPLITUDES:
         held = f"d**3 = {d**3}"
         if added > 1:
             held = f"d**3 * {added} ({kind} registers) = {d**3 * added}"
         raise ConfigError(
-            f"d = {d} is too large: each teleport holds {held} amplitudes, "
+            f"d = {d} is too large: a teleport holds {held} amplitudes, "
             f"above the cap of {MAX_AMPLITUDES}"
         )
 
@@ -253,6 +237,12 @@ class ChainConfig:
             raise ConfigError(
                 f"per_hop_channel must list exactly {self.hops} models"
             )
+        # The last hop's teleport is the largest: it carries the registers
+        # every attacked hop has added so far.
+        d, channels = self.base.d, self.channels()
+        added = [added_dim(ch, d) for ch in channels]
+        kinds = "+".join(dict.fromkeys(ch.kind for ch, a in zip(channels, added) if a > 1))
+        check_teleport_size(d, prod(added), kinds)
 
     def channels(self) -> tuple[ChannelModel, ...]:
         if self.per_hop_channel is not None:
@@ -394,27 +384,20 @@ def _usable_check_bases(fam: MubFamily) -> tuple[tuple[int, tuple[int, ...]], ..
     """Each basis fit for comparison checks, with its outcome map.
 
     The map gives the receiver outcome implied by each sender outcome on a
-    canonical pair. The sender's projection leaves the receiver in the
-    conjugated basis vector, so re-measuring in the same basis is
-    deterministic only when the basis is closed under conjugation up to a
-    permutation. At odd prime d only bases 0 (computational, j -> j) and 1
-    (Fourier, j -> -j mod d) are: conjugation turns quadratic-phase member
-    t into member -t. At d = 2 all three are; the circular basis swaps its
-    two outcomes.
+    canonical pair. The sender's projection onto basis vector j leaves the
+    receiver in its conjugate, so with the vectors as the rows of V the
+    receiver reads outcome w with probability |(V V^T)[w, j]|^2.
+    Re-measuring in the same basis is deterministic only when the basis is
+    closed under conjugation up to a permutation. At odd prime d only bases
+    0 (computational, j -> j) and 1 (Fourier, j -> -j mod d) are:
+    conjugation turns quadratic-phase member t into member -t. At d = 2 all
+    three are; the circular basis swaps its two outcomes.
     """
-    pair = bell_pair(fam.d, ("A", "B"))
     usable = []
     for i, basis in enumerate(fam.bases):
-        mapping = []
-        for j in range(fam.d):
-            post, _ = measure_forced(pair, ["A"], basis, j)
-            _, receiver = factor(post, ["A"])
-            probs = np.abs(basis.vectors.conj() @ receiver.amps) ** 2
-            mapping.append(int(np.argmax(probs)))
-            if probs[mapping[-1]] < 1.0 - NORM_TOL:
-                break
-        else:
-            usable.append((i, tuple(mapping)))
+        probs = np.abs(basis.vectors @ basis.vectors.T) ** 2
+        if probs.max(axis=0).min() >= 1.0 - NORM_TOL:
+            usable.append((i, tuple(int(w) for w in probs.argmax(axis=0))))
     if not usable:
         raise ConfigError("no basis supports deterministic comparison checks")
     return tuple(usable)

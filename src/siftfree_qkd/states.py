@@ -48,7 +48,6 @@ __all__ = [
     "tensor",
     "apply_unitary",
     "measure",
-    "measure_forced",
     "memo_stats",
     "MEMO_LIMIT",
     "fidelity",
@@ -84,7 +83,7 @@ class DimensionError(ValueError):
 
 
 class ZeroProbabilityError(ValueError):
-    """A forced measurement requested an outcome of probability ~ 0."""
+    """A measurement picked an outcome of probability ~ 0."""
 
 
 class FactorizationError(ValueError):
@@ -376,8 +375,11 @@ def measure(
     """Projective measurement of the target group in `basis`.
 
     Returns (outcome_index, post_state, probability). The post state keeps
-    the targets, collapsed onto the outcome vector. Exactly one draw is
-    taken from `rng`, whether or not the input was seen before.
+    the targets, collapsed onto the outcome vector. The outcome is
+    `rng.pick(probs)`, called exactly once whether or not the input was seen
+    before; any object with that method will do, so a caller fixes an
+    outcome with a picker that returns it. A pick of probability below
+    ZERO_PROB raises ZeroProbabilityError and stores no post state.
     """
     targets = tuple(targets)
     # Bases, like operators, are held by the key. Each post-state entry
@@ -386,32 +388,15 @@ def measure(
     size = state.amps.size
     branch, probs, layout = _memo_call(key, size, _outcome_amplitudes, state, targets, basis)
     outcome = rng.pick(probs)
-    post = _memo_call(
-        (key, outcome), size, _collapse, state, basis, branch[outcome], probs[outcome], outcome, layout
-    )
-    return outcome, post, float(probs[outcome])
-
-
-def measure_forced(
-    state: StateVector,
-    targets: Sequence[str],
-    basis: MeasurementBasis,
-    outcome: int,
-) -> tuple[StateVector, float]:
-    """Deterministically select a measurement branch; used by exact tests.
-
-    Raises ZeroProbabilityError if the branch has probability < ZERO_PROB.
-    """
-    branch, probs, layout = _outcome_amplitudes(state, targets, basis)
-    if not 0 <= outcome < basis.dim:
-        raise DimensionError(f"outcome {outcome} outside 0..{basis.dim - 1}")
-    p = float(probs[outcome])
-    if p < ZERO_PROB:
+    prob = float(probs[outcome])
+    if prob < ZERO_PROB:
         raise ZeroProbabilityError(
-            f"outcome {outcome} has probability {p!r}, below {ZERO_PROB}"
+            f"outcome {outcome} has probability {prob!r}, below {ZERO_PROB}"
         )
-    post = _collapse(state, basis, branch[outcome], p, outcome, layout)
-    return post, p
+    post = _memo_call(
+        (key, outcome), size, _collapse, state, basis, branch[outcome], prob, outcome, layout
+    )
+    return outcome, post, prob
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

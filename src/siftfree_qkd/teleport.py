@@ -23,19 +23,16 @@ from .states import (
     factor,
     fidelity,
     measure,
-    measure_forced,
     tensor,
 )
 
 __all__ = [
     "TeleportOutcome",
     "teleport",
-    "teleport_forced",
     "correction_op",
     "recycle",
     "verify_recycle",
     "teleport_ghz",
-    "teleport_ghz_forced",
 ]
 
 
@@ -58,10 +55,17 @@ class TeleportOutcome:
     probability: float
 
 
-def _joint(
-    input_state: StateVector, pair: StateVector, carrier: Optional[str]
-) -> tuple[StateVector, list[str], int]:
-    """Check the arguments; return the joint state, the two targets and d."""
+def teleport(
+    input_state: StateVector, pair: StateVector, rng: Rng, carrier: Optional[str] = None
+) -> TeleportOutcome:
+    """Teleport one qudit through the first two subsystems of `pair`.
+
+    The qudit is `input_state` itself, or its subsystem `carrier` when the
+    input holds more registers (a state relayed by earlier hops). Extra
+    registers of either argument (channel ancillas, an eavesdropper's
+    registers) travel along inside receiver_state. `rng` picks the outcome
+    as in `measure`: outcome (k, l) is index k*d + l.
+    """
     if carrier is None:
         if len(input_state.labels) != 1:
             raise DimensionError("input must be a single qudit, or name its carrier")
@@ -75,39 +79,11 @@ def _joint(
         )
     if set(input_state.labels) & set(pair.labels):
         raise DimensionError("input label collides with a pair label")
-    return tensor([input_state, pair]), [carrier, pair.labels[0]], d
-
-
-def _split_outcome(targets, outcome, post, prob, d) -> TeleportOutcome:
+    targets = [carrier, pair.labels[0]]
+    outcome, post, prob = measure(tensor([input_state, pair]), targets, bell_basis(d), rng)
     k, l = divmod(outcome, d)
     residual, receiver = factor(post, targets)
-    return TeleportOutcome(k, l, residual, receiver, float(prob))
-
-
-def teleport(
-    input_state: StateVector, pair: StateVector, rng: Rng, carrier: Optional[str] = None
-) -> TeleportOutcome:
-    """Teleport one qudit through the first two subsystems of `pair`.
-
-    The qudit is `input_state` itself, or its subsystem `carrier` when the
-    input holds more registers (a state relayed by earlier hops). Extra
-    registers of either argument (channel ancillas, an eavesdropper's
-    registers) travel along inside receiver_state.
-    """
-    joint, targets, d = _joint(input_state, pair, carrier)
-    outcome, post, prob = measure(joint, targets, bell_basis(d), rng)
-    return _split_outcome(targets, outcome, post, prob, d)
-
-
-def teleport_forced(
-    input_state: StateVector, pair: StateVector, k: int, l: int, carrier: Optional[str] = None
-) -> TeleportOutcome:
-    """Teleport with a fixed (k, l) outcome; probability comes back exact."""
-    joint, targets, d = _joint(input_state, pair, carrier)
-    basis = bell_basis(d)
-    outcome = basis.index(k, l)
-    post, prob = measure_forced(joint, targets, basis, outcome)
-    return _split_outcome(targets, outcome, post, prob, d)
+    return TeleportOutcome(k, l, residual, receiver, prob)
 
 
 def correction_op(d: int, k: int, l: int) -> UnitaryOp:
@@ -136,28 +112,6 @@ def verify_recycle(outcome: TeleportOutcome) -> StateVector:
     return restored
 
 
-def _ghz_joint(flying: StateVector, ghz: StateVector) -> tuple[StateVector, list[str]]:
-    """Check the arguments; return the joint state and the three targets."""
-    if len(flying.labels) != 2 or flying.dims != (2, 2):
-        raise DimensionError("flying register must be exactly two qubits")
-    if len(ghz.labels) < 3 or ghz.dims[0] != 2:
-        raise DimensionError("ghz argument must start with the creator's qubit")
-    if set(flying.labels) & set(ghz.labels):
-        raise DimensionError("flying labels collide with ghz labels")
-    return tensor([flying, ghz]), list(flying.labels) + [ghz.labels[0]]
-
-
-def _recycle_ghz(post: StateVector, targets: list[str], outcome: int) -> StateVector:
-    """Split off the measured triple, restore it to GHZ form, return the rest."""
-    residual, rest = factor(post, targets)
-    op2, op3 = ghz_recycle_ops()[outcome]
-    restored = apply_unitary(residual, op2, [targets[1]])
-    restored = apply_unitary(restored, op3, [targets[2]])
-    if fidelity(restored, ghz_state(tuple(targets))) < 1.0 - NORM_TOL:
-        raise AssertionError("recycled triple failed to restore canonical form")
-    return rest
-
-
 def teleport_ghz(
     flying: StateVector, ghz: StateVector, rng: Rng
 ) -> tuple[int, StateVector]:
@@ -168,17 +122,21 @@ def teleport_ghz(
     second element. Outcomes 0,1,4,5 leave a clean distributed pair in
     (|00>+|11>)/sqrt2 and outcomes 2,3,6,7 in (|00>-|11>)/sqrt2. The
     measured triple is recycled with `ghz_recycle_ops` and checked against
-    the canonical GHZ state, as `verify_recycle` does for pairs.
+    the canonical GHZ state, as `verify_recycle` does for pairs. `rng`
+    picks the outcome as in `measure`.
     """
-    joint, targets = _ghz_joint(flying, ghz)
-    outcome, post, _ = measure(joint, targets, ghz_basis(), rng)
-    return outcome, _recycle_ghz(post, targets, outcome)
-
-
-def teleport_ghz_forced(
-    flying: StateVector, ghz: StateVector, outcome: int
-) -> tuple[StateVector, float]:
-    """Forced-outcome variant of `teleport_ghz`; returns (rest, probability)."""
-    joint, targets = _ghz_joint(flying, ghz)
-    post, prob = measure_forced(joint, targets, ghz_basis(), outcome)
-    return _recycle_ghz(post, targets, outcome), float(prob)
+    if len(flying.labels) != 2 or flying.dims != (2, 2):
+        raise DimensionError("flying register must be exactly two qubits")
+    if len(ghz.labels) < 3 or ghz.dims[0] != 2:
+        raise DimensionError("ghz argument must start with the creator's qubit")
+    if set(flying.labels) & set(ghz.labels):
+        raise DimensionError("flying labels collide with ghz labels")
+    targets = list(flying.labels) + [ghz.labels[0]]
+    outcome, post, _ = measure(tensor([flying, ghz]), targets, ghz_basis(), rng)
+    residual, rest = factor(post, targets)
+    op2, op3 = ghz_recycle_ops()[outcome]
+    restored = apply_unitary(residual, op2, [targets[1]])
+    restored = apply_unitary(restored, op3, [targets[2]])
+    if fidelity(restored, ghz_state(tuple(targets))) < 1.0 - NORM_TOL:
+        raise AssertionError("recycled triple failed to restore canonical form")
+    return outcome, rest

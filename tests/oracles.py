@@ -22,7 +22,7 @@ from siftfree_qkd import (
     bell_pair,
     fidelity,
     mub_family,
-    teleport_forced,
+    teleport,
     tensor,
 )
 from siftfree_qkd.channels import added_dim
@@ -148,6 +148,21 @@ def depolarizing_check_error(d, p, m):
 
 def binomial_sigma(p, n):
     return float(np.sqrt(p * (1.0 - p) / n))
+
+
+class FixedOutcome:
+    """A picker for the engine's `rng` arguments that always picks outcome j.
+
+    `probability` records the Born probability the engine offered for j.
+    """
+
+    def __init__(self, j):
+        self.j = j
+        self.probability = None
+
+    def pick(self, probs):
+        self.probability = float(probs[self.j])
+        return self.j
 
 
 def ghz_bracket_expansion():
@@ -292,7 +307,7 @@ def bb84_correspondence_check(
     prepare-and-measure attack form U_E[(U_i |s+l>) |0>].
 
     The protocol side is computed end to end: rotate the pair half, couple
-    the ancilla, teleport |s> with forced outcome (k, l). Equality (up to
+    the ancilla, teleport |s> with fixed outcome (k, l). Equality (up to
     global phase, hence fidelity 1) says a purified attack on this protocol
     is exactly an attack on a prepare-and-measure scheme.
     """
@@ -304,7 +319,7 @@ def bb84_correspondence_check(
     pair = apply_unitary(pair, rot, ["B"])
     joint = tensor([pair, basis_state(anc_dim, 0, "E")])
     joint = apply_unitary(joint, u_e, ["B", "E"])
-    out = teleport_forced(basis_state(d, s, "A_in"), joint, k, l)
+    out = teleport(basis_state(d, s, "A_in"), joint, FixedOutcome(k * d + l))
     protocol_side = out.receiver_state  # subsystems B, E
 
     prepared = apply_unitary(basis_state(d, (s + l) % d, "B"), rot, ["B"])

@@ -36,13 +36,12 @@ from siftfree_qkd import (
     run_third_party,
     run_two_party,
     teleport,
-    teleport_forced,
     teleport_ghz,
-    teleport_ghz_forced,
     tensor,
 )
 
 from oracles import (
+    FixedOutcome,
     bb84_correspondence_check,
     binomial_sigma,
     blind_guess_monte_carlo,
@@ -58,7 +57,7 @@ def _random_input(d, rng, label="in"):
 
 
 def test_criterion_01_teleport_round_trip():
-    """d in {2,3,5}: every forced (k,l) x 50 random inputs restores exactly."""
+    """d in {2,3,5}: every fixed (k,l) x 50 random inputs restores exactly."""
     worst = 1.0
     for d in (2, 3, 5):
         rng = Rng(1000 + d)
@@ -67,7 +66,7 @@ def test_criterion_01_teleport_round_trip():
             target = StateVector(("B",), (d,), state.amps)
             for k in range(d):
                 for l in range(d):
-                    out = teleport_forced(state, bell_pair(d), k, l)
+                    out = teleport(state, bell_pair(d), FixedOutcome(k * d + l))
                     fixed = apply_unitary(
                         out.receiver_state, correction_op(d, k, l), ["B"]
                     )
@@ -222,8 +221,9 @@ def test_criterion_08_bracket_expansion_and_ghz_recycling():
                 apply_unitary(basis_state(2, 0, "F2"), plus_rot, ["F2"]),
             ]
         )
-        rest, prob = teleport_ghz_forced(flying, ghz_state(), outcome)
-        assert abs(prob - 0.125) < 1e-9
+        picker = FixedOutcome(outcome)
+        _, rest = teleport_ghz(flying, ghz_state(), picker)
+        assert abs(picker.probability - 0.125) < 1e-9
         assert fidelity(rest, StateVector(("A", "B"), (2, 2), pair_states[outcome])) > 1 - 1e-9
 
     n = 8000

@@ -106,7 +106,7 @@ class TestBellBasis:
         for k in range(d):
             for l in range(d):
                 np.testing.assert_allclose(
-                    basis.vectors[basis.index(k, l)], bell_vector(d, k, l), atol=1e-12
+                    basis.vectors[k * d + l], bell_vector(d, k, l), atol=1e-12
                 )
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -116,7 +116,7 @@ class TestBellBasis:
         for k in range(d):
             for l in range(d):
                 rotated = apply_unitary(bell_pair(d), pauli_matrix(d, k, l), ["B"])
-                target = StateVector(("A", "B"), (d, d), basis.vectors[basis.index(k, l)])
+                target = StateVector(("A", "B"), (d, d), basis.vectors[k * d + l])
                 assert fidelity(rotated, target) > 1 - 1e-12
 
     def test_canonical_pair_amplitudes(self):

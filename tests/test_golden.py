@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 from siftfree_qkd import (
+    ConfigError,
     DimensionError,
     ExperimentSpec,
     emit_transcript,
@@ -58,8 +59,8 @@ def _digest(mode, channel, d, hops):
     )
     try:
         summary = run_experiment(spec)
-    except DimensionError as exc:
-        return f"DimensionError: {exc}"
+    except (ConfigError, DimensionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     text = summary_document(summary) + summary_csv(summary) + emit_transcript(spec, 0)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -130,7 +131,7 @@ GOLDEN = {
     "two_party/substituted/d5/h1": "96c2b41201e0f137c363d9ff202abbb7569c1e1c4276e14480390c7d74fd5908",
     "pre_check/substituted/d5/h1": "e7f46a77336a06748a91d29a9a7951f3f27967c198cd1c1e4d8f4b80e7c0e65c",
     "chain/substituted/d5/h1": "abf79c7e5888889222bc3bf725a85bcfc8bb44e361879cf28c295050f762b60e",
-    "chain/substituted/d5/h3": "DimensionError: tensor product dimension 78125 exceeds cap 65536",
+    "chain/substituted/d5/h3": "ConfigError: d = 5 is too large: a teleport holds d**3 * 15625 (substituted registers) = 1953125 amplitudes, above the cap of 65536",
     "two_party/purified/d5/h1": "3440606b0e7c56641cc4a79c98bea138d568aba4383c7991af8caa068dac6812",
     "pre_check/purified/d5/h1": "7d0b51ea7ec42a1c8d3f59c6e6b3532bccd730f01b6024babbdd7279c1de69c1",
     "chain/purified/d5/h1": "670729b07666fda95deb8002c5c66e3642128d1174572f2cc933c339eadac651",

@@ -31,7 +31,6 @@ from siftfree_qkd import (
     ghz_basis,
     ghz_state,
     measure,
-    measure_forced,
     mub_family,
     pauli_matrix,
     relabel,
@@ -47,6 +46,7 @@ from siftfree_qkd.states import (
     memo_stats,
 )
 
+from oracles import FixedOutcome
 from test_golden import GOLDEN, _digest, _key
 from test_states import random_state
 
@@ -100,13 +100,29 @@ def test_mub_family_derived_operators(d, m):
         )
 
 
+def _cold(fn, *args):
+    """fn(*args) computed under a fresh, empty operation memo.
+
+    The shared table is swapped back afterwards, untouched, so a later call
+    with the same inputs still misses it.
+    """
+    shared = states._memo
+    states._memo = MemoTable(MEMO_LIMIT)
+    try:
+        return fn(*args)
+    finally:
+        states._memo = shared
+
+
 def _check_every_outcome(state, targets, basis):
     """Measure until every outcome has come up; each must match the oracle.
 
     The first call fills the memo, every later one is answered from it.
     Returns the number of measurements made.
     """
-    forced = [measure_forced(state, targets, basis, j) for j in range(basis.dim)]
+    forced = [
+        _cold(measure, state, targets, basis, FixedOutcome(j))[1:] for j in range(basis.dim)
+    ]
     probs = [p for _, p in forced]
     before = memo_stats()
     seen = set()
@@ -144,7 +160,7 @@ def test_memo_keys_on_the_basis_object_not_its_id():
         )
         basis = MeasurementBasis(2, vecs)
         outcome, post, prob = measure(state, ["A"], basis, Rng(trial))
-        ref_post, ref_prob = measure_forced(state, ["A"], basis, outcome)
+        _, ref_post, ref_prob = _cold(measure, state, ["A"], basis, FixedOutcome(outcome))
         assert prob == ref_prob
         np.testing.assert_array_equal(post.amps, ref_post.amps)
         del basis

@@ -22,12 +22,12 @@ from siftfree_qkd import (
     fidelity,
     fourier_basis,
     measure,
-    measure_forced,
     relabel,
     tensor,
 )
+from siftfree_qkd.states import memo_stats
 
-from oracles import born_probabilities
+from oracles import FixedOutcome, born_probabilities
 
 
 def random_state(labels, dims, seed):
@@ -147,7 +147,7 @@ class TestMeasurement:
         basis = fourier_basis(3)
         expected = born_probabilities(s.amps, s.dims, [0], basis.vectors)
         for j in range(3):
-            _, prob = measure_forced(s, ["A"], basis, j)
+            _, _, prob = measure(s, ["A"], basis, FixedOutcome(j))
             assert abs(prob - expected[j]) < 1e-12
 
     def test_post_state_is_collapsed(self):
@@ -160,9 +160,15 @@ class TestMeasurement:
         assert abs(prob - 1.0) < 1e-9
 
     def test_zero_probability_forced_outcome_raises(self):
+        """The pick raises before any post state is computed or stored."""
         s = basis_state(2, 0, "A")
-        with pytest.raises(ZeroProbabilityError):
-            measure_forced(s, ["A"], computational_basis(2), 1)
+        measure(s, ["A"], computational_basis(2), FixedOutcome(0))  # stores the distribution
+        before = memo_stats()
+        with pytest.raises(ZeroProbabilityError, match="outcome 1"):
+            measure(s, ["A"], computational_basis(2), FixedOutcome(1))
+        after = memo_stats()
+        assert after.entries == before.entries
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_joint_measurement_of_two_targets(self):
         pair = bell_pair(2)

@@ -21,15 +21,13 @@ from siftfree_qkd import (
     pauli_matrix,
     recycle,
     teleport,
-    teleport_forced,
     teleport_ghz,
-    teleport_ghz_forced,
     tensor,
 )
 from siftfree_qkd.states import NORM_TOL, MeasurementBasis
 from siftfree_qkd.teleport import TeleportOutcome, verify_recycle
 
-from oracles import frame_x_shift, ghz_bracket_expansion, teleport_reference
+from oracles import FixedOutcome, frame_x_shift, ghz_bracket_expansion, teleport_reference
 
 # The package's `teleport` attribute is the function; this is the module.
 teleport_module = importlib.import_module("siftfree_qkd.teleport")
@@ -57,7 +55,8 @@ def test_kicked_round_reads_secret_plus_pauli_frame_shift(d):
                 for secret in range(d):
                     for k in range(d):
                         for l in range(d):
-                            out = teleport_forced(basis_state(d, secret, "A_in"), pair, k, l)
+                            secret_in = basis_state(d, secret, "A_in")
+                            out = teleport(secret_in, pair, FixedOutcome(k * d + l))
                             held = apply_unitary(out.receiver_state, fam.inverses[i], ["B"])
                             outcome, _, prob = measure(held, ["B"], read, rng)
                             assert prob > 1.0 - NORM_TOL
@@ -75,7 +74,7 @@ def test_forced_outcome_matches_reference(d):
     state = random_qudit(d, 40 + d)
     for k in range(d):
         for l in range(d):
-            out = teleport_forced(state, bell_pair(d), k, l)
+            out = teleport(state, bell_pair(d), FixedOutcome(k * d + l))
             ref_amps, ref_prob = teleport_reference(d, k, l, state.amps)
             got = out.receiver_state
             overlap = abs(np.vdot(ref_amps, got.amps))
@@ -105,7 +104,7 @@ def test_correction_restores_input(d, carried):
         target = StateVector(("B",), (d,), state.amps)
     for k in range(d):
         for l in range(d):
-            out = teleport_forced(state, bell_pair(d), k, l, carrier=carrier)
+            out = teleport(state, bell_pair(d), FixedOutcome(k * d + l), carrier=carrier)
             assert set(out.receiver_state.labels) == set(target.labels)
             assert abs(out.probability - 1.0 / d**2) < 1e-12
             fixed = apply_unitary(out.receiver_state, correction_op(d, k, l), ["B"])
@@ -126,7 +125,7 @@ def test_sampled_teleport_of_a_named_carrier(d):
 
 
 def test_recycle_check_rejects_a_wrong_outcome():
-    out = teleport_forced(random_qudit(3, 2), bell_pair(3), 1, 2)
+    out = teleport(random_qudit(3, 2), bell_pair(3), FixedOutcome(1 * 3 + 2))
     verify_recycle(out)
     wrong = TeleportOutcome(2, 2, out.sender_residual, out.receiver_state, out.probability)
     with pytest.raises(AssertionError):
@@ -139,7 +138,7 @@ def test_recycle_restores_canonical_pair(d):
     canonical = bell_pair(d, ("psi", "A"))
     for k in range(d):
         for l in range(d):
-            out = teleport_forced(state, bell_pair(d), k, l)
+            out = teleport(state, bell_pair(d), FixedOutcome(k * d + l))
             restored = recycle(out.sender_residual, k, l)
             assert fidelity(restored, canonical) > 1 - 1e-9
 
@@ -166,7 +165,7 @@ def test_teleport_through_rotated_pair():
             for k in range(d):
                 for l in range(d):
                     pair = apply_unitary(bell_pair(d), fam.unitaries[b], ["B"])
-                    out = teleport_forced(basis_state(d, s, "in"), pair, k, l)
+                    out = teleport(basis_state(d, s, "in"), pair, FixedOutcome(k * d + l))
                     expected = apply_unitary(
                         basis_state(d, (s + l) % d, "B"), fam.unitaries[b], ["B"]
                     )
@@ -176,23 +175,23 @@ def test_teleport_through_rotated_pair():
 def test_extra_registers_ride_along():
     d = 2
     pair = tensor([bell_pair(d), basis_state(3, 1, "E")])
-    out = teleport_forced(random_qudit(d, 5), pair, 0, 0)
+    out = teleport(random_qudit(d, 5), pair, FixedOutcome(0))
     assert set(out.receiver_state.labels) == {"B", "E"}
 
 
 def test_input_validation():
     with pytest.raises(DimensionError):
-        teleport_forced(bell_pair(2, ("X", "Y")), bell_pair(2), 0, 0)
+        teleport(bell_pair(2, ("X", "Y")), bell_pair(2), FixedOutcome(0))
     with pytest.raises(DimensionError):
-        teleport_forced(basis_state(3, 0, "in"), bell_pair(2), 0, 0)
+        teleport(basis_state(3, 0, "in"), bell_pair(2), FixedOutcome(0))
     with pytest.raises(DimensionError):
-        teleport_forced(basis_state(2, 0, "A"), bell_pair(2), 0, 0)
+        teleport(basis_state(2, 0, "A"), bell_pair(2), FixedOutcome(0))
     # A named carrier must match the pair, and no register may collide.
-    teleport_forced(bell_pair(2, ("X", "Y")), bell_pair(2), 0, 0, carrier="Y")
+    teleport(bell_pair(2, ("X", "Y")), bell_pair(2), FixedOutcome(0), carrier="Y")
     with pytest.raises(DimensionError):
-        teleport_forced(carried_state(2, 1), bell_pair(3), 0, 0, carrier="psi")
+        teleport(carried_state(2, 1), bell_pair(3), FixedOutcome(0), carrier="psi")
     with pytest.raises(DimensionError):
-        teleport_forced(bell_pair(2, ("B", "Y")), bell_pair(2), 0, 0, carrier="Y")
+        teleport(bell_pair(2, ("B", "Y")), bell_pair(2), FixedOutcome(0), carrier="Y")
 
 
 class TestTripleMeasurement:
@@ -207,8 +206,10 @@ class TestTripleMeasurement:
                     apply_unitary(basis_state(2, 0, "F2"), plus, ["F2"]),
                 ]
             )
-            rest, prob = teleport_ghz_forced(flying, ghz_state(), outcome)
-            assert abs(prob - probs[outcome]) < 1e-9
+            picker = FixedOutcome(outcome)
+            got, rest = teleport_ghz(flying, ghz_state(), picker)
+            assert got == outcome
+            assert abs(picker.probability - probs[outcome]) < 1e-9
             ref = StateVector(("A", "B"), (2, 2), pair_states[outcome])
             assert fidelity(rest, ref) > 1 - 1e-9
 
@@ -253,12 +254,12 @@ class TestTripleMeasurement:
         monkeypatch.setattr(teleport_module, "ghz_basis", lambda: shuffled)
         for outcome in range(8):
             with pytest.raises(AssertionError, match="triple"):
-                teleport_ghz_forced(flying, ghz_state(), outcome)
+                teleport_ghz(flying, ghz_state(), FixedOutcome(outcome))
         with pytest.raises(AssertionError, match="triple"):
             teleport_ghz(flying, ghz_state(), Rng(3))
 
     def test_flying_register_validation(self):
         with pytest.raises(DimensionError):
-            teleport_ghz_forced(basis_state(2, 0, "F1"), ghz_state(), 0)
+            teleport_ghz(basis_state(2, 0, "F1"), ghz_state(), FixedOutcome(0))
         with pytest.raises(DimensionError):
-            teleport_ghz_forced(bell_pair(2, ("F1", "F2")), bell_pair(2), 0)
+            teleport_ghz(bell_pair(2, ("F1", "F2")), bell_pair(2), FixedOutcome(0))
