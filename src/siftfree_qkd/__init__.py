@@ -10,7 +10,6 @@ from .bases import (
     bell_basis,
     bell_pair,
     computational_basis,
-    fourier_basis,
     ghz_basis,
     ghz_recycle_ops,
     ghz_state,
@@ -40,7 +39,6 @@ from .harness import (
 )
 from .rng import Rng
 from .sessions import (
-    ChainConfig,
     ClassicalMessage,
     ConfigError,
     KeyResult,

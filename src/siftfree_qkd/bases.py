@@ -37,7 +37,6 @@ __all__ = [
     "is_prime",
     "pauli_matrix",
     "computational_basis",
-    "fourier_basis",
     "MubFamily",
     "mub_family",
     "bell_basis",
@@ -82,14 +81,6 @@ def pauli_matrix(d: int, a: int, b: int) -> UnitaryOp:
 @memoized
 def computational_basis(d: int) -> MeasurementBasis:
     return MeasurementBasis(d, np.eye(d, dtype=np.complex128))
-
-
-def fourier_basis(d: int) -> MeasurementBasis:
-    """Basis with vector j holding amplitude omega^(i*j)/sqrt(d) at position i."""
-    w = omega(d)
-    i = np.arange(d)
-    vecs = np.array([w ** (i * j) for j in range(d)]) / np.sqrt(d)
-    return MeasurementBasis(d, vecs)
 
 
 @dataclass(frozen=True, eq=False)

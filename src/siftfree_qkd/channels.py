@@ -11,9 +11,9 @@ entangled state on its way to the receiver:
                       session retransmits a fresh one
     SubstitutedAttack the eavesdropper keeps the real half and hands the
                       receiver one half of her own entangled pair
-    PurifiedAttack    a fresh ancilla |0> is attached and a fixed unitary
-                      couples carrier and ancilla; the most general
-                      one-ancilla interaction up to the ancilla dimension
+    PurifiedAttack    a fresh d-level ancilla |0> is attached and the
+                      controlled shift |b>|e> -> |b>|e + b> couples carrier
+                      and ancilla; Eve keeps the ancilla
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class SubstitutedAttack:
 
 @dataclass(frozen=True)
 class PurifiedAttack:
-    """u_e couples the carrier (first) with an ancilla of dim u_e.dim // d."""
-
-    u_e: UnitaryOp
     kind: str = field(default="purified", init=False)
 
 
@@ -108,21 +105,12 @@ class ChannelResult:
     lost: bool = False
 
 
-def _ancilla_dim(u_e: UnitaryOp, d: int) -> int:
-    """Dimension of the ancilla that `u_e` couples to a d-level carrier."""
-    if u_e.dim % d or u_e.dim < 2 * d:
-        raise DimensionError(
-            f"coupling unitary dim {u_e.dim} is not carrier {d} times an ancilla of dim >= 2"
-        )
-    return u_e.dim // d
-
-
 def added_dim(model: ChannelModel, d: int) -> int:
     """Total dimension of the registers `model` adds to a sent d-level pair."""
     if isinstance(model, SubstitutedAttack):
         return d * d  # Eve keeps the sent half and one half of her own pair
     if isinstance(model, PurifiedAttack):
-        return _ancilla_dim(model.u_e, d)
+        return d  # the coupled ancilla
     return 1
 
 
@@ -163,8 +151,8 @@ def apply_channel(
         return ChannelResult(tensor([grabbed, bell_pair(d, (b_label, kept))]), (stolen, kept))
     if isinstance(model, PurifiedAttack):
         anc = _fresh_label(state, f"{b_label}#anc")
-        joint = tensor([state, basis_state(_ancilla_dim(model.u_e, d), 0, anc)])
-        joint = apply_unitary(joint, model.u_e, [b_label, anc])
+        joint = tensor([state, basis_state(d, 0, anc)])
+        joint = apply_unitary(joint, controlled_shift(d), [b_label, anc])
         return ChannelResult(joint, (anc,))
     raise DimensionError(f"unknown channel model {model!r}")
 

@@ -23,15 +23,12 @@ from .channels import (
     Loss,
     PurifiedAttack,
     SubstitutedAttack,
-    controlled_shift,
 )
 from .rng import Rng
 from .sessions import (
-    ChainConfig,
     ConfigError,
     KeyResult,
     SessionConfig,
-    check_teleport_size,
     run_chain,
     run_pre_check,
     run_third_party,
@@ -142,7 +139,7 @@ _AGGREGATE_FIELDS = tuple(
 )
 
 
-def build_channel(kind: str, noise_p: float, d: int) -> ChannelModel:
+def build_channel(kind: str, noise_p: float) -> ChannelModel:
     if kind == "ideal":
         return Ideal()
     if kind == "depolarizing":
@@ -152,7 +149,7 @@ def build_channel(kind: str, noise_p: float, d: int) -> ChannelModel:
     if kind == "substituted":
         return SubstitutedAttack()
     if kind == "purified":
-        return PurifiedAttack(controlled_shift(d))
+        return PurifiedAttack()
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
@@ -168,11 +165,7 @@ def _session_config(spec: ExperimentSpec, trial: int) -> SessionConfig:
         abort_threshold=spec.abort_threshold,
         seed=_trial_seed(spec.master_seed, trial),
     )
-    # Validated first: the purified coupling alone is a d^2 x d^2 matrix, so
-    # its d-level ancilla is counted before the coupling is built.
-    if spec.channel_kind == "purified":
-        check_teleport_size(spec.d, spec.d, spec.channel_kind)
-    return replace(config, channel=build_channel(spec.channel_kind, spec.noise_p, spec.d))
+    return replace(config, channel=build_channel(spec.channel_kind, spec.noise_p))
 
 
 def _run_trial(spec: ExperimentSpec, trial: int) -> KeyResult:
@@ -185,7 +178,7 @@ def _run_trial(spec: ExperimentSpec, trial: int) -> KeyResult:
         return run_third_party(config, trusted=False)
     if spec.mode == "third_party_trusted":
         return run_third_party(config, trusted=True)
-    return run_chain(ChainConfig(base=config, hops=spec.hops))
+    return run_chain(config, spec.hops)
 
 
 def _trial_record(spec: ExperimentSpec, trial: int, result: KeyResult) -> TrialRecord:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ from .channels import (
     ChannelModel,
     ChannelResult,
     Ideal,
-    PurifiedAttack,
     SubstitutedAttack,
     added_dim,
     apply_channel,
@@ -72,9 +70,7 @@ __all__ = [
     "MESSAGE_KINDS",
     "ClassicalMessage",
     "serialize_transcript",
-    "check_teleport_size",
     "SessionConfig",
-    "ChainConfig",
     "KeyResult",
     "run_two_party",
     "run_pre_check",
@@ -156,8 +152,8 @@ def serialize_transcript(messages: Sequence[ClassicalMessage]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _eavesdropped(channel: ChannelModel) -> bool:
-    return isinstance(channel, (SubstitutedAttack, PurifiedAttack))
+def _eavesdropped(channel: ChannelModel, d: int) -> bool:
+    return added_dim(channel, d) > 1
 
 
 def _eve_unrotates(channel: ChannelModel) -> bool:
@@ -165,7 +161,7 @@ def _eve_unrotates(channel: ChannelModel) -> bool:
     return isinstance(channel, SubstitutedAttack)
 
 
-def check_teleport_size(d: int, added: int, kind: str) -> None:
+def _check_teleport_size(d: int, added: int, kind: str) -> None:
     """ConfigError unless a teleport fits within MAX_AMPLITUDES.
 
     It holds d**3 amplitudes times `added`, the dimension of the registers
@@ -205,7 +201,7 @@ class SessionConfig:
     def __post_init__(self):
         if not is_prime(self.d):
             raise ConfigError(f"d = {self.d} must be prime")
-        check_teleport_size(self.d, added_dim(self.channel, self.d), self.channel.kind)
+        _check_teleport_size(self.d, added_dim(self.channel, self.d), self.channel.kind)
         limit = 3 if self.d == 2 else self.d + 1
         if not 2 <= self.m <= limit:
             raise ConfigError(f"m = {self.m} outside 2..{limit} for d = {self.d}")
@@ -215,39 +211,6 @@ class SessionConfig:
             raise ConfigError("abort_threshold must lie in [0, 1]")
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """A chain of adjacent teleportation links between sender and receiver.
-
-    hops: number of links (>= 1); parties are sender, hops-1 relays,
-        receiver. per_hop_channel gives one model per link and defaults to
-        the base config's channel on every link.
-    """
-
-    base: SessionConfig
-    hops: int
-    per_hop_channel: Optional[tuple[ChannelModel, ...]] = None
-
-    def __post_init__(self):
-        if self.hops < 1:
-            raise ConfigError("hops must be >= 1")
-        if self.per_hop_channel is not None and len(self.per_hop_channel) != self.hops:
-            raise ConfigError(
-                f"per_hop_channel must list exactly {self.hops} models"
-            )
-        # The last hop's teleport is the largest: it carries the registers
-        # every attacked hop has added so far.
-        d, channels = self.base.d, self.channels()
-        added = [added_dim(ch, d) for ch in channels]
-        kinds = "+".join(dict.fromkeys(ch.kind for ch, a in zip(channels, added) if a > 1))
-        check_teleport_size(d, prod(added), kinds)
-
-    def channels(self) -> tuple[ChannelModel, ...]:
-        if self.per_hop_channel is not None:
-            return tuple(self.per_hop_channel)
-        return tuple(self.base.channel for _ in range(self.hops))
 
 
 @dataclass(frozen=True)
@@ -531,7 +494,7 @@ def _verify_then_key(
     survivors = _key_slots(s, verdict)
     alice = [-1] * s.total
     bob = [-1] * s.total
-    eve = [-1] * s.total if _eavesdropped(s.config.channel) else None
+    eve = [-1] * s.total if _eavesdropped(s.config.channel, s.d) else None
     shifts: list[int] = []
     for r in survivors:
         pair = pairs[r]
@@ -580,7 +543,7 @@ def run_two_party(config: SessionConfig) -> KeyResult:
         return _read_digit(s, s.erng, r, post, regs[0], _eve_unrotates(config.channel), l)[0]
 
     arrivals = ((state, "B", l) for state, l, _ in received)
-    has_eve = _eavesdropped(config.channel)
+    has_eve = _eavesdropped(config.channel, config.d)
     return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total)
 
 
@@ -657,51 +620,57 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
         pairs.append(apply_unitary(pair, pauli_matrix(2, 1, 0), ["A"]) if signs[-1] else pair)
     s.say(CHARLIE, EVERYONE, "publish_k", signs)
     # A substituted carrier was stolen before its Hadamard mask came off.
-    stolen_masked = trusted and isinstance(config.channel, SubstitutedAttack)
+    stolen_masked = trusted and _eve_unrotates(config.channel)
     return _verify_then_key(
         s, pairs, eve_regs, from_sender=False, eve_masks=masks_b if stolen_masked else ()
     )
 
 
-def run_chain(config: ChainConfig) -> KeyResult:
-    """Hop-by-hop teleportation between sender and receiver.
+def run_chain(config: SessionConfig, hops: int) -> KeyResult:
+    """Hop-by-hop teleportation between sender and receiver over `hops` links.
 
-    Link pairs stay unrotated; instead the sender teleports the rotated dit
-    state itself. Every relay teleports whatever arrives, corrections and
-    all, and publishes both components of its measurement outcome. The
-    receiver undoes the accumulated byproduct (one Pauli with summed
-    exponents equals the hop-by-hop composition up to global phase), then
-    unrotates once the rotation string is public and reads the dit with no
-    shift subtraction. The comparison stage matches the plain session.
+    The parties are the sender, hops - 1 relays and the receiver, and every
+    link runs the config's channel. Link pairs stay unrotated; instead the
+    sender teleports the rotated dit state itself. Every relay teleports
+    whatever arrives, corrections and all, and publishes both components of
+    its measurement outcome. The receiver undoes the accumulated byproduct
+    (one Pauli with summed exponents equals the hop-by-hop composition up
+    to global phase), then unrotates once the rotation string is public and
+    reads the dit with no shift subtraction. The comparison stage matches
+    the plain session.
     """
-    s = _Session(config.base)
-    d, hops, channels = s.d, config.hops, config.channels()
+    if hops < 1:
+        raise ConfigError("hops must be >= 1")
+    d, channel = config.d, config.channel
+    # The last hop's teleport is the largest: it carries the registers every
+    # hop has added so far.
+    _check_teleport_size(d, added_dim(channel, d) ** hops, channel.kind)
+    s = _Session(config)
     parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
     byproducts: list[list[tuple[int, int]]] = []
-    # Per round: the carried state, its carrier label, and the first hop
-    # Eve attacked with the register she took there (None if she never did).
-    arrived: list[tuple[StateVector, str, Optional[tuple[int, str]]]] = []
+    # Per round: the carried state, its carrier label, and Eve's registers
+    # from hop 1, the one she decodes from.
+    arrived: list[tuple[StateVector, str, tuple[str, ...]]] = []
     for r in range(s.total):
         state = apply_unitary(
             basis_state(d, s.secrets[r], "W"), s.fam.unitaries[s.rotations[r]], ["W"]
         )
         carrier = "W"
         outcomes: list[tuple[int, int]] = []
-        site = None
         for h in range(1, hops + 1):
             near, far = f"L{h}a", f"L{h}b"
             sent = _transmit(
-                s, partial(bell_pair, d, (near, far)), far, channels[h - 1],
+                s, partial(bell_pair, d, (near, far)), far, channel,
                 s.crng.child(h), r, parties[h - 1], parties[h],
             )
-            if sent.eve_labels and site is None:
-                site = (h, sent.eve_labels[0])
+            if h == 1:
+                eve_regs = sent.eve_labels
             out = teleport(state, sent.state, s.trng.child(r, h), carrier=carrier)
             verify_recycle(out)
             outcomes.append((out.k, out.l))
             state, carrier = out.receiver_state, far
         byproducts.append(outcomes)
-        arrived.append((state, carrier, site))
+        arrived.append((state, carrier, eve_regs))
 
     for h in range(1, hops + 1):
         s.say(parties[h], parties[h - 1], "ack_received", (h,))
@@ -717,11 +686,9 @@ def run_chain(config: ChainConfig) -> KeyResult:
         return correction_op(d, k_sum, l_sum), l_sum
 
     def eve_digit(r: int, post: StateVector) -> int:
-        if arrived[r][2] is None:
-            return -1
-        hop, reg = arrived[r][2]
-        unrotate = _eve_unrotates(channels[hop - 1])
-        fix, shift = frame(r, hop)
+        reg = arrived[r][2][0]
+        unrotate = _eve_unrotates(channel)
+        fix, shift = frame(r, 1)
         if unrotate:
             post, shift = apply_unitary(post, fix, [reg]), 0
         return _read_digit(s, s.erng, r, post, reg, unrotate, shift)[0]
@@ -730,5 +697,5 @@ def run_chain(config: ChainConfig) -> KeyResult:
         (apply_unitary(state, frame(r, hops)[0], [carrier]), carrier, 0)
         for r, (state, carrier, _) in enumerate(arrived)
     )
-    has_eve = any(_eavesdropped(ch) for ch in channels)
+    has_eve = _eavesdropped(channel, d)
     return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total * hops)

@@ -141,10 +141,6 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return prod(self.dims)
-
     def axis(self, label: str) -> int:
         try:
             return self.labels.index(label)

@@ -7,14 +7,16 @@ between package and oracle is meaningful. Keep it dumb and readable.
 The exception is the last section: the blind-guessing estimate (acceptance
 criterion 06) and the purified-attack correspondence (criterion 07) drive
 the package's own `Rng` and engine. They check the simulator against the
-paper's arguments; no protocol session needs them.
+paper's arguments; no protocol session needs them. The Fourier basis there
+is the reference the package's second family member is compared against,
+built from its textbook formula rather than from the family's construction.
 """
 
 import numpy as np
 
 from siftfree_qkd import (
     DimensionError,
-    PurifiedAttack,
+    MeasurementBasis,
     Rng,
     UnitaryOp,
     apply_unitary,
@@ -22,10 +24,10 @@ from siftfree_qkd import (
     bell_pair,
     fidelity,
     mub_family,
+    omega,
     teleport,
     tensor,
 )
-from siftfree_qkd.channels import added_dim
 
 
 def born_probabilities(joint, dims, target_axes, basis_vectors):
@@ -249,6 +251,14 @@ def controlled_shift_check_error(d=2):
 # -- Gate physics on the package's own engine (criteria 06 and 07) --------
 
 
+def fourier_basis(d: int) -> MeasurementBasis:
+    """Basis with vector j holding amplitude omega^(i*j)/sqrt(d) at position i."""
+    w = omega(d)
+    i = np.arange(d)
+    vecs = np.array([w ** (i * j) for j in range(d)]) / np.sqrt(d)
+    return MeasurementBasis(d, vecs)
+
+
 def haar_unitary(dim: int, rng: Rng) -> UnitaryOp:
     """Haar-distributed unitary via QR of a complex gaussian matrix."""
     z = rng.complex_normal((dim, dim))
@@ -311,7 +321,7 @@ def bb84_correspondence_check(
     global phase, hence fidelity 1) says a purified attack on this protocol
     is exactly an attack on a prepare-and-measure scheme.
     """
-    anc_dim = added_dim(PurifiedAttack(u_e), d)
+    anc_dim = u_e.dim // d
     fam = mub_family(d, m)
     rot = fam.unitaries[i]
 

@@ -10,7 +10,6 @@ Everything is seeded, so reruns are bit-for-bit stable.
 import numpy as np
 
 from siftfree_qkd import (
-    ChainConfig,
     ExperimentSpec,
     Rng,
     SessionConfig,
@@ -22,7 +21,6 @@ from siftfree_qkd import (
     attack_report,
     basis_state,
     bell_pair,
-    controlled_shift,
     correction_op,
     emit_transcript,
     fidelity,
@@ -139,7 +137,7 @@ def test_criterion_04_noiseless_completeness():
             check(run_third_party(cfg, trusted=trusted), 2 * n, n)
     for d, m, hops, n in ((2, 2, 5, 64), (3, 2, 2, 128), (2, 3, 3, 96)):
         cfg = SessionConfig(d=d, m=m, key_length=n, seed=470 + hops)
-        check(run_chain(ChainConfig(base=cfg, hops=hops)), hops * 2 * n, n)
+        check(run_chain(cfg, hops), hops * 2 * n, n)
     print(f"[PASS] criterion 4: noiseless completeness over {runs} mode/parameter runs")
 
 
@@ -193,7 +191,7 @@ def test_criterion_07_purified_attack_bb84_correspondence():
 
     cfg = SessionConfig(
         d=2, m=2, key_length=512, seed=701,
-        channel=PurifiedAttack(controlled_shift(2)),
+        channel=PurifiedAttack(),
     )
     res = run_two_party(cfg)
     sigma = binomial_sigma(0.25, 512)

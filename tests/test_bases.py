@@ -11,7 +11,6 @@ from siftfree_qkd import (
     bell_basis,
     bell_pair,
     fidelity,
-    fourier_basis,
     ghz_basis,
     ghz_recycle_ops,
     ghz_state,
@@ -21,7 +20,7 @@ from siftfree_qkd import (
     pauli_matrix,
 )
 
-from oracles import bell_vector, mub_unitaries, pauli
+from oracles import bell_vector, fourier_basis, mub_unitaries, pauli
 
 
 def test_is_prime():

@@ -22,6 +22,7 @@ from siftfree_qkd import (
     summary_csv,
     summary_document,
 )
+from siftfree_qkd.channels import added_dim
 from siftfree_qkd.cli import _parser, load_config_file, main
 
 
@@ -41,13 +42,13 @@ def test_spec_validation():
 
 
 def test_build_channel_kinds():
-    assert isinstance(build_channel("ideal", 0.0, 2), Ideal)
-    assert isinstance(build_channel("depolarizing", 0.1, 2), Depolarizing)
-    assert isinstance(build_channel("loss", 0.1, 2), Loss)
-    assert isinstance(build_channel("substituted", 0.0, 2), SubstitutedAttack)
-    purified = build_channel("purified", 0.0, 3)
+    assert isinstance(build_channel("ideal", 0.0), Ideal)
+    assert isinstance(build_channel("depolarizing", 0.1), Depolarizing)
+    assert isinstance(build_channel("loss", 0.1), Loss)
+    assert isinstance(build_channel("substituted", 0.0), SubstitutedAttack)
+    purified = build_channel("purified", 0.0)
     assert isinstance(purified, PurifiedAttack)
-    assert purified.u_e.dim == 9
+    assert added_dim(purified, 3) == 3
 
 
 def test_noiseless_experiment_aggregates():
@@ -242,13 +243,18 @@ def test_cli_rejects_oversized_d_before_building_anything(monkeypatch, capsys, c
 
 
 def test_cli_rejects_attacked_link_too_large_for_first_teleport(monkeypatch, capsys):
-    # 11^3 fits the cap, but a substituted pair adds two 11-level registers.
+    # 11^3 fits the cap, but a substituted pair adds two 11-level registers;
+    # 5^3 * 25 fits, but a second substituted hop adds 25 more.
     def no_build(*args):
         raise AssertionError("a basis was built")
 
     monkeypatch.setattr("siftfree_qkd.sessions.mub_family", no_build)
-    assert main(["--mode", "two_party", "--d", "11", "--n", "1", "--channel", "substituted"]) == 2
-    assert "too large" in capsys.readouterr().err
+    for argv in (
+        ["--mode", "two_party", "--d", "11", "--n", "1", "--channel", "substituted"],
+        ["--mode", "chain", "--d", "5", "--n", "1", "--channel", "substituted", "--hops", "2"],
+    ):
+        assert main(argv) == 2
+        assert "too large" in capsys.readouterr().err
 
 
 def test_cli_rejects_oversized_purified_link_before_building_the_coupling(monkeypatch, capsys):
@@ -257,7 +263,7 @@ def test_cli_rejects_oversized_purified_link_before_building_the_coupling(monkey
     def no_build(*args):
         raise AssertionError("the coupling was built")
 
-    monkeypatch.setattr("siftfree_qkd.harness.controlled_shift", no_build)
+    monkeypatch.setattr("siftfree_qkd.channels.controlled_shift", no_build)
     assert main(["--mode", "two_party", "--d", "37", "--n", "1", "--channel", "purified"]) == 2
     assert "purified registers" in capsys.readouterr().err
 

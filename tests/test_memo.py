@@ -11,7 +11,6 @@ import pytest
 
 import siftfree_qkd
 from siftfree_qkd import (
-    ChainConfig,
     Depolarizing,
     DimensionError,
     FactorizationError,
@@ -27,7 +26,6 @@ from siftfree_qkd import (
     computational_basis,
     controlled_shift,
     factor,
-    fourier_basis,
     ghz_basis,
     ghz_state,
     measure,
@@ -46,7 +44,7 @@ from siftfree_qkd.states import (
     memo_stats,
 )
 
-from oracles import FixedOutcome
+from oracles import FixedOutcome, fourier_basis
 from test_golden import GOLDEN, _digest, _key
 from test_states import random_state
 
@@ -290,13 +288,10 @@ def test_failed_ops_raise_every_time_and_are_not_stored(call, error):
 def test_measure_memo_stays_within_limit_after_chain_d7():
     """The one table every op shares stays within its limit, all ops counted."""
     before = memo_stats()
-    cfg = ChainConfig(
-        base=SessionConfig(
-            d=7, m=3, key_length=8, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
-        ),
-        hops=3,
+    cfg = SessionConfig(
+        d=7, m=3, key_length=8, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
     )
-    run_chain(cfg)
+    run_chain(cfg, 3)
     after = memo_stats()
     assert after.evictions > before.evictions  # the run did fill the table
     assert after.held <= MEMO_LIMIT

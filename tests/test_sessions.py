@@ -2,24 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from siftfree_qkd import (
-    ChainConfig,
     ClassicalMessage,
     ConfigError,
     Depolarizing,
-    DimensionError,
-    Ideal,
     Loss,
     PurifiedAttack,
-    Rng,
     SessionConfig,
     SubstitutedAttack,
     attack_report,
     bell_pair,
-    controlled_shift,
     factor,
     measure,
     mub_family,
@@ -27,12 +20,11 @@ from siftfree_qkd import (
     run_pre_check,
     run_third_party,
     run_two_party,
-    serialize_transcript,
 )
 from siftfree_qkd.sessions import _usable_check_bases
 from siftfree_qkd.states import NORM_TOL
 
-from oracles import FixedOutcome, binomial_sigma
+from oracles import FixedOutcome, binomial_sigma, depolarizing_check_error
 
 
 def kinds(result):
@@ -62,19 +54,11 @@ def test_config_validation():
     SessionConfig(d=7, m=2, key_length=4, channel=SubstitutedAttack())
     with pytest.raises(ConfigError, match="too large"):
         SessionConfig(d=11, m=2, key_length=4, channel=SubstitutedAttack())
-    SessionConfig(d=13, m=2, key_length=4, channel=PurifiedAttack(controlled_shift(13)))
+    SessionConfig(d=13, m=2, key_length=4, channel=PurifiedAttack())
     with pytest.raises(ConfigError, match="too large"):
-        SessionConfig(d=17, m=2, key_length=4, channel=PurifiedAttack(controlled_shift(17)))
-    with pytest.raises(DimensionError):
-        SessionConfig(d=2, m=2, key_length=4, channel=PurifiedAttack(controlled_shift(3)))
+        SessionConfig(d=17, m=2, key_length=4, channel=PurifiedAttack())
     with pytest.raises(ConfigError):
-        ChainConfig(base=SessionConfig(d=2, m=2, key_length=4), hops=0)
-    with pytest.raises(ConfigError):
-        ChainConfig(
-            base=SessionConfig(d=2, m=2, key_length=4),
-            hops=2,
-            per_hop_channel=(Ideal(),),
-        )
+        run_chain(SessionConfig(d=2, m=2, key_length=4), 0)
 
 
 def test_third_party_requires_qubits():
@@ -124,7 +108,7 @@ def test_third_party_noiseless_completeness(m, trusted):
 @pytest.mark.parametrize("d,hops", [(2, 1), (2, 4), (3, 2), (5, 1)])
 def test_chain_noiseless_completeness(d, hops):
     cfg = SessionConfig(d=d, m=2, key_length=8, seed=d + hops)
-    res = run_chain(ChainConfig(base=cfg, hops=hops))
+    res = run_chain(cfg, hops)
     assert not res.aborted
     assert res.alice_key == res.bob_key
     assert res.recycled_pairs == hops * 16
@@ -172,23 +156,22 @@ def test_check_basis_closed_form_matches_the_engine(d):
         assert _usable_check_bases(fam) == _engine_check_bases(fam)
 
 
-def test_chain_size_check_counts_every_hop():
+def test_chain_size_check_counts_every_hop(monkeypatch):
     """A hop-h teleport holds d^3 times the registers added by hops 1..h."""
     substituted = SessionConfig(d=5, m=2, key_length=2, channel=SubstitutedAttack())
-    ChainConfig(base=substituted, hops=1)
-    with pytest.raises(ConfigError, match="too large"):
-        ChainConfig(base=substituted, hops=2)
-    with pytest.raises(ConfigError, match="too large"):
-        ChainConfig(
-            base=SessionConfig(d=5, m=2, key_length=2), hops=3,
-            per_hop_channel=(SubstitutedAttack(), Ideal(), SubstitutedAttack()),
-        )
-    purified = SessionConfig(
-        d=5, m=2, key_length=2, channel=PurifiedAttack(controlled_shift(5))
-    )
-    res = run_chain(ChainConfig(base=purified, hops=3))
+    assert run_chain(substituted, 1).recycled_pairs == 4
+    purified = SessionConfig(d=5, m=2, key_length=2, channel=PurifiedAttack())
+    res = run_chain(purified, 3)
     assert len(res.bob_digits) == 4
     assert res.recycled_pairs == 3 * 4
+
+    def no_build(*args):
+        raise AssertionError("a basis was built")
+
+    # 5^3 * 25^2 is over the cap, and the chain is rejected before any basis.
+    monkeypatch.setattr("siftfree_qkd.sessions.mub_family", no_build)
+    with pytest.raises(ConfigError, match="too large"):
+        run_chain(substituted, 2)
 
 
 def test_key_digit_uniformity():
@@ -251,7 +234,7 @@ def test_untrusted_third_party_has_no_mask_reveal():
 
 def test_chain_transcript_shape():
     cfg = SessionConfig(d=2, m=2, key_length=4, seed=5)
-    res = run_chain(ChainConfig(base=cfg, hops=3))
+    res = run_chain(cfg, 3)
     ks = kinds(res)
     assert ks.count("ack_received") == 3
     assert ks.count("publish_k") == 3
@@ -325,7 +308,7 @@ def test_purified_controlled_shift_error_rate():
         m=2,
         key_length=192,
         seed=35,
-        channel=PurifiedAttack(controlled_shift(2)),
+        channel=PurifiedAttack(),
     )
     res = run_two_party(cfg)
     assert abs(res.observed_error_rate - 0.25) < 3 * binomial_sigma(0.25, 192)
@@ -391,27 +374,29 @@ def test_chain_single_hop_matches_two_party_digits():
     for seed in (0, 7, 123):
         cfg = SessionConfig(d=3, m=3, key_length=12, seed=seed)
         assert (
-            run_chain(ChainConfig(base=cfg, hops=1)).bob_digits
+            run_chain(cfg, 1).bob_digits
             == run_two_party(cfg).bob_digits
         )
 
 
-def test_chain_noise_is_local_to_its_hop():
-    """Depolarizing one link of three behaves like depolarizing the only link."""
-    p = 0.4
-    single = run_two_party(
-        SessionConfig(d=2, m=2, key_length=160, seed=41, channel=Depolarizing(p))
+@pytest.mark.parametrize("d,hops", [(2, 3), (3, 2)])
+def test_noisy_chain_check_error_compounds_over_hops(d, hops):
+    """Depolarizing(p) on every hop acts like one hop at 1 - (1 - p)**hops.
+
+    A product of independent uniform Paulis is uniform, and the MUB
+    rotations are Clifford, so the hops' byproducts and noise commute into
+    one Pauli applied with that probability.
+    """
+    p, n = 0.2, 256
+    p_any = 1 - (1 - p) ** hops
+    expected = depolarizing_check_error(d, p_any, 2)
+    assert abs(expected - p_any * (d - 1) / d) < 1e-12
+    cfg = SessionConfig(
+        d=d, m=2, key_length=n, seed=410 + 10 * d + hops,
+        abort_threshold=1.0, channel=Depolarizing(p),
     )
-    chained = run_chain(
-        ChainConfig(
-            base=SessionConfig(d=2, m=2, key_length=160, seed=42),
-            hops=3,
-            per_hop_channel=(Ideal(), Depolarizing(p), Ideal()),
-        )
-    )
-    sigma = binomial_sigma(p / 2, 160)
-    assert abs(single.observed_error_rate - p / 2) < 3 * sigma
-    assert abs(chained.observed_error_rate - p / 2) < 3 * sigma
+    res = run_chain(cfg, hops)
+    assert abs(res.observed_error_rate - expected) < 3 * binomial_sigma(expected, n)
 
 
 def test_two_party_check_digits_match_published_values():

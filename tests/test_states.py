@@ -20,14 +20,13 @@ from siftfree_qkd import (
     computational_basis,
     factor,
     fidelity,
-    fourier_basis,
     measure,
     relabel,
     tensor,
 )
 from siftfree_qkd.states import memo_stats
 
-from oracles import FixedOutcome, born_probabilities
+from oracles import FixedOutcome, born_probabilities, fourier_basis
 
 
 def random_state(labels, dims, seed):
