@@ -48,7 +48,7 @@ from .channels import (
     added_dim,
     apply_channel,
 )
-from .rng import Rng
+from .rng import Rng, with_first_draws
 from .states import (
     MAX_AMPLITUDES,
     NORM_TOL,
@@ -252,20 +252,33 @@ class _Session:
 
     Rotations and secrets are drawn for all 2N rounds up front, and every
     per-round stream is a child of a per-purpose stream, so the order in
-    which the stages run never changes a draw.
+    which the stages run never changes a draw. Each per-round stream takes
+    one `random()` before any other draw, so the first draw of all of them
+    is derived up front in one batch per path length (`with_first_draws`).
+    A chain's streams are named by hop as well: round r's teleport on hop h
+    is `trng.child(r, h)`, and each hop's channel has its own parent.
     """
 
-    def __init__(self, config: SessionConfig):
+    def __init__(self, config: SessionConfig, hops: Optional[int] = None):
         self.config = config
         self.rng = Rng(config.seed)
         self.d, self.n, self.total = config.d, config.key_length, 2 * config.key_length
         self.fam = mub_family(config.d, config.m)
         self.rotations = self._draw(_R_ROTATIONS, config.m)
         self.secrets = self._draw(_R_SECRETS, config.d)
-        self.crng = self.rng.child(_R_CHANNEL)
-        self.trng = self.rng.child(_R_TELEPORT)
-        self.brng = self.rng.child(_R_RECEIVER)
-        self.erng = self.rng.child(_R_EVE)
+        rounds, crng = range(self.total), self.rng.child(_R_CHANNEL)
+        hop_parents = [crng] if hops is None else [crng.child(h) for h in range(1, hops + 1)]
+        teleports = (rounds,) if hops is None else (rounds, range(1, hops + 1))
+        per_round = (_R_RECEIVER, _R_EVE, _R_SENDER_MEAS, _R_TRIPLE)
+        streams = with_first_draws(
+            (self.rng.child(_R_TELEPORT), teleports),
+            *((self.rng.child(p), (rounds,)) for p in per_round),
+            # A lost carrier's retransmits (attempt >= 1) build their own.
+            *((parent, (rounds, range(1))) for parent in hop_parents),
+        )
+        self.trng, self.brng, self.erng, self.arng, self.grng = streams[:5]
+        # links[i]: the channel streams of hop i + 1, child (round, attempt).
+        self.links = streams[5:]
         self.transcript: list[ClassicalMessage] = []
 
     def _draw(self, purpose: int, high: int) -> list[int]:
@@ -300,7 +313,7 @@ def _send_rotated_pair(s: _Session, r: int) -> ChannelResult:
     """Round r's canonical pair, its half B rotated and sent to the receiver."""
     rotation = s.fam.unitaries[s.rotations[r]]
     build = partial(apply_unitary, bell_pair(s.d, ("A", "B")), rotation, ["B"])
-    return _transmit(s, build, "B", s.config.channel, s.crng, r, ALICE, BOB)
+    return _transmit(s, build, "B", s.config.channel, s.links[0], r, ALICE, BOB)
 
 
 def _arrivals(sent: Iterable[ChannelResult]) -> tuple[list[StateVector], list[tuple[str, ...]]]:
@@ -404,13 +417,12 @@ def _verify_pairs(
     s.say(ALICE, EVERYONE, "check_positions", checks)
     if rotations_public:
         s.say(ALICE, EVERYONE, "publish_b", s.rotations)
-    arng = s.rng.child(_R_SENDER_MEAS)
     alice_outcomes: list[int] = []
     bob_outcomes: list[int] = []
     expected: list[int] = []
     for r, (basis_idx, mapping) in zip(checks, picked):
         basis = s.fam.bases[basis_idx]
-        a_out, post, _ = measure(pairs[r], ["A"], basis, arng.child(r))
+        a_out, post, _ = measure(pairs[r], ["A"], basis, s.arng.child(r))
         if rotations_public:
             post = apply_unitary(post, s.fam.inverses[s.rotations[r]], ["B"])
         b_out, _, _ = measure(post, ["B"], basis, s.brng.child(r))
@@ -598,7 +610,7 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     states, eve_regs = _arrivals(
         _transmit(
             s, partial(masked, ghz_state(("C", "A", "B")), r), "B",
-            config.channel, s.crng, r, CHARLIE, BOB,
+            config.channel, s.links[0], r, CHARLIE, BOB,
         )
         for r in range(s.total)
     )
@@ -611,11 +623,10 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     # The middleman's measurement leaves the end parties a pair of known
     # sign class; the sender flips the minus class to the plus class.
     flying = tensor([apply_unitary(basis_state(2, 0, c), hadamard, [c]) for c in ("C1", "C2")])
-    grng = s.rng.child(_R_TRIPLE)
     signs: list[int] = []
     pairs: list[StateVector] = []
     for r, state in enumerate(states):
-        outcome, pair = teleport_ghz(flying, masked(state, r), grng.child(r))
+        outcome, pair = teleport_ghz(flying, masked(state, r), s.grng.child(r))
         signs.append(0 if outcome in (0, 1, 4, 5) else 1)
         pairs.append(apply_unitary(pair, pauli_matrix(2, 1, 0), ["A"]) if signs[-1] else pair)
     s.say(CHARLIE, EVERYONE, "publish_k", signs)
@@ -645,7 +656,7 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
     # The last hop's teleport is the largest: it carries the registers every
     # hop has added so far.
     _check_teleport_size(d, added_dim(channel, d) ** hops, channel.kind)
-    s = _Session(config)
+    s = _Session(config, hops)
     parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
     byproducts: list[list[tuple[int, int]]] = []
     # Per round: the carried state, its carrier label, and Eve's registers
@@ -661,7 +672,7 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
             near, far = f"L{h}a", f"L{h}b"
             sent = _transmit(
                 s, partial(bell_pair, d, (near, far)), far, channel,
-                s.crng.child(h), r, parties[h - 1], parties[h],
+                s.links[h - 1], r, parties[h - 1], parties[h],
             )
             if h == 1:
                 eve_regs = sent.eve_labels

@@ -25,7 +25,7 @@ same floats and picks the same outcome. Failed calls are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from typing import Sequence
 
 import numpy as np
@@ -99,8 +99,6 @@ def _as_complex_vector(values, length: int | None = None) -> np.ndarray:
     arr = np.frombuffer(np.asarray(values, dtype=np.complex128).tobytes(), dtype=np.complex128)
     if length is not None and arr.size != length:
         raise DimensionError(f"expected {length} amplitudes, got {arr.size}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise DimensionError("amplitudes must be finite (no NaN/Inf)")
     return arr
 
 
@@ -135,6 +133,9 @@ class StateVector:
             )
         amps = _as_complex_vector(self.amps, total)
         nrm = float(np.vdot(amps, amps).real)
+        # Every term |a|^2 is >= 0, so a finite norm rules out NaN and Inf.
+        if not isfinite(nrm) and not np.all(np.isfinite(amps.view(np.float64))):
+            raise DimensionError("amplitudes must be finite (no NaN/Inf)")
         if abs(nrm - 1.0) > NORM_TOL:
             raise DimensionError(f"state norm^2 = {nrm!r}, not 1 within {NORM_TOL}")
         object.__setattr__(self, "labels", labels)

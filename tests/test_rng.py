@@ -1,6 +1,10 @@
-"""Splittable random stream behavior everything else leans on."""
+"""Splittable random stream behavior everything else leans on.
 
-from itertools import accumulate
+The batched first draws are checked against numpy's own generator, so a
+numpy release that changed its streams fails here before any output moves.
+"""
+
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siftfree_qkd import Rng
+from siftfree_qkd import rng as rng_module
+from siftfree_qkd.rng import first_draws, with_first_draws
 
 
 def test_same_seed_same_stream():
@@ -128,3 +134,160 @@ def test_complex_normal_shape_and_spread():
     assert z.shape == (200, 3)
     # unit-variance complex gaussian: E|z|^2 = 1
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.15
+
+
+# ------------------------------------------------ batched first draws
+
+
+def numpy_stream(seed, path):
+    """The generator numpy builds for stream (seed, path), eagerly."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_first_draws_match_numpy(seed, length):
+    """Every path of entries 0 and 2**32 - 1, plus random 32-bit paths."""
+    edges = [list(p) for p in product([0, 2**32 - 1], repeat=length)]
+    rand = np.random.default_rng(seed % 2**32 + length).integers(0, 2**32, size=(16, length))
+    paths = edges + rand.tolist()
+    expected = [numpy_stream(seed, tuple(p)).random() for p in paths]
+    assert first_draws(seed, paths).tolist() == expected
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    paths=st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=k, max_size=k),
+                           min_size=1, max_size=8)
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_first_draws_property(seed, paths):
+    expected = [numpy_stream(seed, tuple(p)).random() for p in paths]
+    assert first_draws(seed, paths).tolist() == expected
+
+
+def test_first_draws_span_several_chunks():
+    n = 2 * rng_module._CHUNK + 5
+    paths = [[3, r] for r in range(n)]
+    got = first_draws(20211018, paths)
+    for r in (0, rng_module._CHUNK - 1, rng_module._CHUNK, n - 1):
+        assert got[r] == numpy_stream(20211018, (3, r)).random()
+
+
+@pytest.mark.parametrize("paths", [[[2**32]], [[1, 2**40]], [[-1]], [[]], [0, 1]])
+def test_first_draws_reject_paths_that_are_not_one_word_per_entry(paths):
+    with pytest.raises(ValueError):
+        first_draws(5, paths)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R", "_XSHIFT",
+        "_PHILOX_M0", "_PHILOX_M1", "_PHILOX_W0", "_PHILOX_W1", "_PHILOX_ROUNDS",
+    ],
+)
+def test_every_spec_constant_is_checked(monkeypatch, name):
+    """Flip one bit of any hash or Philox constant and the batch leaves numpy."""
+    paths = [[3, r] for r in range(8)] + [[2, r, 0] for r in range(8)]
+    expected = [numpy_stream(7, tuple(p)).random() for p in paths]
+    monkeypatch.setattr(rng_module, name, getattr(rng_module, name) ^ 1)
+    got = np.concatenate([first_draws(7, paths[:8]), first_draws(7, paths[8:])]).tolist()
+    assert got != expected
+
+
+def test_held_children_serve_numpys_first_draw():
+    (trng,) = with_first_draws((Rng(99).child(3), (range(6),)))
+    for r in range(6):
+        kid = trng.child(r)
+        assert kid.random() == numpy_stream(99, (3, r)).random()
+        assert "_gen" not in vars(kid)  # served without building a generator
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: g.integers(0, 7, size=5),
+        lambda g: g.subset(20, 4) if isinstance(g, Rng) else g.choice(20, size=4, replace=False),
+        lambda g: g.random(3),
+        lambda g: g.random(),
+    ],
+    ids=["integers", "subset", "random_size", "second_random"],
+)
+def test_draws_after_the_held_one_are_numpys(draw):
+    """The Depolarizing path: one served random(), then other draws."""
+    (crng,) = with_first_draws((Rng(2021).child(2), (range(4), range(1))))
+    held, eager = crng.child(3, 0), numpy_stream(2021, (2, 3, 0))
+    assert held.random() == eager.random()
+    assert np.array_equal(draw(held), draw(eager))
+    assert np.array_equal(held.integers(0, 9, size=4), eager.integers(0, 9, size=4))
+    assert held.random() == eager.random()
+
+
+def test_a_generator_built_first_ignores_the_held_draw():
+    (trng,) = with_first_draws((Rng(8).child(3), (range(4),)))
+    kid, eager = trng.child(2), numpy_stream(8, (3, 2))
+    assert np.array_equal(kid.integers(0, 5, size=3), eager.integers(0, 5, size=3))
+    assert kid.random() == eager.random()
+    assert kid.random() == eager.random()
+
+
+def test_child_is_a_fresh_stream_on_every_call():
+    (trng,) = with_first_draws((Rng(4).child(3), (range(4),)))
+    first = trng.child(1)
+    assert first.random() == trng.child(1).random()
+    eager = numpy_stream(4, (3, 1))
+    assert [eager.random(), eager.random()] == [trng.child(1).random(), first.random()]
+
+
+def test_children_outside_the_grid_build_their_own():
+    """A retransmit attempt >= 1, or a round past the grid, is not held."""
+    (crng,) = with_first_draws((Rng(12).child(2), (range(4), range(1))))
+    for path in [(1, 1), (4, 0), (1,), (1, 0, 0), (-1, 0)]:
+        kid = crng.child(*path)
+        assert kid._held is None
+        if path != (-1, 0):
+            assert kid.random() == numpy_stream(12, (2,) + path).random()
+
+
+@pytest.mark.parametrize(
+    "parent, ranges",
+    [
+        (Rng(6).child(2**32), (range(3),)),
+        (Rng(6).child(2), (range(2**32 - 1, 2**32 + 1),)),
+        (Rng(6).child(1, 2**40), (range(2), range(2))),
+    ],
+)
+def test_grids_with_wide_entries_fall_back(parent, ranges):
+    """An entry of 2**32 or more takes two spawn-key words: numpy builds it."""
+    (twin,) = with_first_draws((parent, ranges))
+    for tail in product(*ranges):
+        kid = twin.child(*tail)
+        assert kid._held is None
+        assert kid.random() == numpy_stream(6, parent.path + tail).random()
+
+
+def test_one_call_serves_several_seeds_and_lengths():
+    grids = [
+        (Rng(1).child(3), (range(5),)),
+        (Rng(2).child(4), (range(5),)),
+        (Rng(1).child(2).child(7), (range(3), range(1, 4))),
+        (Rng(1).child(8), (range(2),)),
+    ]
+    for (parent, ranges), twin in zip(grids, with_first_draws(*grids)):
+        assert (twin.seed, twin.path) == (parent.seed, parent.path)
+        for tail in product(*ranges):
+            expected = numpy_stream(parent.seed, parent.path + tail).random()
+            assert twin.child(*tail).random() == expected
+
+
+def test_child_keeps_its_parents_validated_seed_and_path():
+    kid = Rng(2**64 - 1, (np.uint32(5),)).child(np.int64(3), 4)
+    assert (kid.seed, kid.path) == (2**64 - 1, (5, 3, 4))
+    assert all(type(p) is int for p in kid.path)
+    assert kid.random() == numpy_stream(2**64 - 1, (5, 3, 4)).random()

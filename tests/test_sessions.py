@@ -174,6 +174,23 @@ def test_chain_size_check_counts_every_hop(monkeypatch):
         run_chain(substituted, 2)
 
 
+def test_round_streams_build_no_generator(monkeypatch):
+    """Every per-round draw comes from the batch: numpy builds a generator
+    only for the session-level streams (rotations, secrets, check positions)
+    instead of one per teleport and one per read-out."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    res = run_two_party(SessionConfig(d=3, m=2, key_length=64, seed=11))
+    assert len(res.bob_digits) == 128
+    assert len(built) <= 3
+
+
 def test_key_digit_uniformity():
     """Across seeds, each dit value shows up at frequency 1/d."""
     d = 3

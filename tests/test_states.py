@@ -54,8 +54,23 @@ class TestStateVector:
             StateVector(("A",), (3,), np.array([1.0, 0.0]))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            StateVector(("A",), (2,), np.array([np.nan, 0.0]))
+        """NaN or Inf anywhere gets the finiteness message, word for word.
+
+        [1e200, 0] is finite, but its norm overflows: it keeps the norm
+        message, so the finiteness scan must not run on a finite norm alone.
+        """
+        finite = "amplitudes must be finite (no NaN/Inf)"
+        cases = [
+            ([np.nan, 0.0], finite),
+            ([np.inf, 0.0], finite),
+            ([-np.inf, 0.0], finite),
+            ([complex(1.0, np.nan), 0.0], finite),
+            ([1e200, 0.0], "state norm^2 = inf, not 1 within 1e-09"),
+        ]
+        for amps, message in cases:
+            with pytest.raises(DimensionError) as err:
+                StateVector(("A",), (2,), np.array(amps))
+            assert str(err.value) == message
 
     def test_rejects_oversized_system(self):
         with pytest.raises(DimensionError):
