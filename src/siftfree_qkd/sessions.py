@@ -43,7 +43,9 @@ from .bases import (
 from .channels import (
     ChannelModel,
     ChannelResult,
+    Depolarizing,
     Ideal,
+    Loss,
     SubstitutedAttack,
     added_dim,
     apply_channel,
@@ -156,6 +158,20 @@ def _eavesdropped(channel: ChannelModel, d: int) -> bool:
     return added_dim(channel, d) > 1
 
 
+def _channel_attempts(channel: ChannelModel) -> range:
+    """Send attempts whose channel draw a session derives up front.
+
+    Only noisy channels draw, one `random()` per send. A lost carrier is
+    sent again; its first retransmit is common enough to derive as well,
+    and a later one builds its own generator.
+    """
+    if isinstance(channel, Loss):
+        return range(2)
+    if isinstance(channel, Depolarizing):
+        return range(1)
+    return range(0)
+
+
 def _eve_unrotates(channel: ChannelModel) -> bool:
     """Eve undoes the rotation only on what she took: the sender's real half."""
     return isinstance(channel, SubstitutedAttack)
@@ -253,33 +269,42 @@ class _Session:
     Rotations and secrets are drawn for all 2N rounds up front, and every
     per-round stream is a child of a per-purpose stream, so the order in
     which the stages run never changes a draw. Each per-round stream takes
-    one `random()` before any other draw, so the first draw of all of them
-    is derived up front in one batch per path length (`with_first_draws`).
-    A chain's streams are named by hop as well: round r's teleport on hop h
-    is `trng.child(r, h)`, and each hop's channel has its own parent.
+    one `random()` before any other draw, so the first draw of every one a
+    session will use is derived up front in one batch per path length
+    (`with_first_draws`). A mode names the per-round purposes it draws;
+    Eve's is added when the channel has an eavesdropper. A chain's streams
+    are named by hop as well: round r's teleport on hop h is
+    `stream(_R_TELEPORT, r, h)`, and each hop's channel has its own parent.
     """
 
-    def __init__(self, config: SessionConfig, hops: Optional[int] = None):
+    def __init__(
+        self, config: SessionConfig, purposes: Sequence[int], hops: Optional[int] = None
+    ):
         self.config = config
         self.rng = Rng(config.seed)
         self.d, self.n, self.total = config.d, config.key_length, 2 * config.key_length
+        self.has_eve = _eavesdropped(config.channel, config.d)
         self.fam = mub_family(config.d, config.m)
         self.rotations = self._draw(_R_ROTATIONS, config.m)
         self.secrets = self._draw(_R_SECRETS, config.d)
         rounds, crng = range(self.total), self.rng.child(_R_CHANNEL)
         hop_parents = [crng] if hops is None else [crng.child(h) for h in range(1, hops + 1)]
         teleports = (rounds,) if hops is None else (rounds, range(1, hops + 1))
-        per_round = (_R_RECEIVER, _R_EVE, _R_SENDER_MEAS, _R_TRIPLE)
-        streams = with_first_draws(
-            (self.rng.child(_R_TELEPORT), teleports),
-            *((self.rng.child(p), (rounds,)) for p in per_round),
-            # A lost carrier's retransmits (attempt >= 1) build their own.
-            *((parent, (rounds, range(1))) for parent in hop_parents),
-        )
-        self.trng, self.brng, self.erng, self.arng, self.grng = streams[:5]
+        purposes = (*purposes, _R_EVE) if self.has_eve else tuple(purposes)
+        grids = [
+            (self.rng.child(p), teleports if p == _R_TELEPORT else (rounds,)) for p in purposes
+        ]
+        attempts = _channel_attempts(config.channel)
+        grids += [(parent, (rounds, attempts)) for parent in hop_parents]
+        streams = with_first_draws(*grids)
+        self._streams = dict(zip(purposes, streams))
         # links[i]: the channel streams of hop i + 1, child (round, attempt).
-        self.links = streams[5:]
+        self.links = streams[len(purposes) :]
         self.transcript: list[ClassicalMessage] = []
+
+    def stream(self, purpose: int, *path: int) -> Rng:
+        """Per-round stream `path` of `purpose`, one the mode has named."""
+        return self._streams[purpose].child(*path)
 
     def _draw(self, purpose: int, high: int) -> list[int]:
         return [int(x) for x in self.rng.child(purpose).integers(0, high, size=self.total)]
@@ -333,7 +358,7 @@ def _teleport_secret(
     s: _Session, r: int, pair: StateVector, recycled: bool = True
 ) -> tuple[StateVector, int]:
     """Teleport round r's secret through half A of `pair`: (rest, shift l)."""
-    out = teleport(basis_state(s.d, s.secrets[r], "A_in"), pair, s.trng.child(r))
+    out = teleport(basis_state(s.d, s.secrets[r], "A_in"), pair, s.stream(_R_TELEPORT, r))
     if recycled:
         verify_recycle(out)
     return out.receiver_state, out.l
@@ -341,18 +366,19 @@ def _teleport_secret(
 
 def _read_digit(
     s: _Session,
-    reader: Rng,
+    purpose: int,
     r: int,
     state: StateVector,
     label: str,
     unrotate: bool,
     shift: int,
 ) -> tuple[int, StateVector]:
-    """Undo round r's rotation if asked, read `label`, subtract shift."""
+    """Undo round r's rotation if asked, read `label` with round r's stream
+    of `purpose`, subtract shift."""
     if unrotate:
         state = apply_unitary(state, s.fam.inverses[s.rotations[r]], [label])
     d = state.dim_of(label)
-    outcome, post, _ = measure(state, [label], computational_basis(d), reader.child(r))
+    outcome, post, _ = measure(state, [label], computational_basis(d), s.stream(purpose, r))
     return (outcome - shift) % d, post
 
 
@@ -422,10 +448,10 @@ def _verify_pairs(
     expected: list[int] = []
     for r, (basis_idx, mapping) in zip(checks, picked):
         basis = s.fam.bases[basis_idx]
-        a_out, post, _ = measure(pairs[r], ["A"], basis, s.arng.child(r))
+        a_out, post, _ = measure(pairs[r], ["A"], basis, s.stream(_R_SENDER_MEAS, r))
         if rotations_public:
             post = apply_unitary(post, s.fam.inverses[s.rotations[r]], ["B"])
-        b_out, _, _ = measure(post, ["B"], basis, s.brng.child(r))
+        b_out, _, _ = measure(post, ["B"], basis, s.stream(_R_RECEIVER, r))
         alice_outcomes.append(a_out)
         bob_outcomes.append(b_out)
         expected.append(mapping[a_out])
@@ -473,7 +499,7 @@ def _read_and_compare(
     bob_digits: list[int] = []
     posts: list[StateVector] = []
     for r, (state, label, shift) in enumerate(arrivals):
-        digit, post = _read_digit(s, s.brng, r, state, label, True, shift)
+        digit, post = _read_digit(s, _R_RECEIVER, r, state, label, True, shift)
         bob_digits.append(digit)
         posts.append(post)
     eve_digits = None if eve_digit is None else [eve_digit(r, p) for r, p in enumerate(posts)]
@@ -506,7 +532,7 @@ def _verify_then_key(
     survivors = _key_slots(s, verdict)
     alice = [-1] * s.total
     bob = [-1] * s.total
-    eve = [-1] * s.total if _eavesdropped(s.config.channel, s.d) else None
+    eve = [-1] * s.total if s.has_eve else None
     shifts: list[int] = []
     for r in survivors:
         pair = pairs[r]
@@ -515,13 +541,13 @@ def _verify_then_key(
         state, l = _teleport_secret(s, r, pair, recycled=from_sender)
         shifts.append(l)
         alice[r] = s.secrets[r]
-        bob[r], post = _read_digit(s, s.brng, r, state, "B", True, l)
+        bob[r], post = _read_digit(s, _R_RECEIVER, r, state, "B", True, l)
         if eve is not None:
             reg = eve_regs[r][0]
             if eve_masks and eve_masks[r]:
                 post = apply_unitary(post, mub_family(2, 2).unitaries[1], [reg])
             unrotate = _eve_unrotates(s.config.channel)
-            eve[r], _ = _read_digit(s, s.erng, r, post, reg, unrotate, l)
+            eve[r], _ = _read_digit(s, _R_EVE, r, post, reg, unrotate, l)
     if survivors:
         s.say(ALICE, EVERYONE, "publish_l", shifts)
         if not from_sender:
@@ -540,7 +566,7 @@ def run_two_party(config: SessionConfig) -> KeyResult:
     unrotates, measures, and subtracts the shifts. Digits at the check
     positions are compared in public and the rest become the key.
     """
-    s = _Session(config)
+    s = _Session(config, (_R_TELEPORT, _R_RECEIVER))
     received: list[tuple[StateVector, int, tuple[str, ...]]] = []
     for r in range(s.total):
         sent = _send_rotated_pair(s, r)
@@ -552,11 +578,10 @@ def run_two_party(config: SessionConfig) -> KeyResult:
 
     def eve_digit(r: int, post: StateVector) -> int:
         _, l, regs = received[r]
-        return _read_digit(s, s.erng, r, post, regs[0], _eve_unrotates(config.channel), l)[0]
+        return _read_digit(s, _R_EVE, r, post, regs[0], _eve_unrotates(config.channel), l)[0]
 
     arrivals = ((state, "B", l) for state, l, _ in received)
-    has_eve = _eavesdropped(config.channel, config.d)
-    return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total)
+    return _read_and_compare(s, arrivals, eve_digit if s.has_eve else None, s.total)
 
 
 def run_pre_check(config: SessionConfig) -> KeyResult:
@@ -569,7 +594,7 @@ def run_pre_check(config: SessionConfig) -> KeyResult:
     within threshold, the surviving N pairs carry the secret dits with no
     further digit comparison. Only those N pairs are recycled.
     """
-    s = _Session(config)
+    s = _Session(config, (_R_TELEPORT, _R_RECEIVER, _R_SENDER_MEAS))
     states, eve_regs = _arrivals(_send_rotated_pair(s, r) for r in range(s.total))
     s.say(BOB, ALICE, "ack_received")
     return _verify_then_key(s, states, eve_regs, from_sender=True)
@@ -594,7 +619,7 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     """
     if config.d != 2:
         raise ConfigError("third-party distribution is defined for d = 2 only")
-    s = _Session(config)
+    s = _Session(config, (_R_TELEPORT, _R_RECEIVER, _R_SENDER_MEAS, _R_TRIPLE))
     hadamard = mub_family(2, 2).unitaries[1]
     mask_rng = s.rng.child(_R_MASKS)
     masks_a = [int(x) for x in mask_rng.integers(0, 2, size=s.total)] if trusted else [0] * s.total
@@ -626,7 +651,7 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     signs: list[int] = []
     pairs: list[StateVector] = []
     for r, state in enumerate(states):
-        outcome, pair = teleport_ghz(flying, masked(state, r), s.grng.child(r))
+        outcome, pair = teleport_ghz(flying, masked(state, r), s.stream(_R_TRIPLE, r))
         signs.append(0 if outcome in (0, 1, 4, 5) else 1)
         pairs.append(apply_unitary(pair, pauli_matrix(2, 1, 0), ["A"]) if signs[-1] else pair)
     s.say(CHARLIE, EVERYONE, "publish_k", signs)
@@ -656,7 +681,7 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
     # The last hop's teleport is the largest: it carries the registers every
     # hop has added so far.
     _check_teleport_size(d, added_dim(channel, d) ** hops, channel.kind)
-    s = _Session(config, hops)
+    s = _Session(config, (_R_TELEPORT, _R_RECEIVER), hops)
     parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
     byproducts: list[list[tuple[int, int]]] = []
     # Per round: the carried state, its carrier label, and Eve's registers
@@ -676,7 +701,7 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
             )
             if h == 1:
                 eve_regs = sent.eve_labels
-            out = teleport(state, sent.state, s.trng.child(r, h), carrier=carrier)
+            out = teleport(state, sent.state, s.stream(_R_TELEPORT, r, h), carrier=carrier)
             verify_recycle(out)
             outcomes.append((out.k, out.l))
             state, carrier = out.receiver_state, far
@@ -702,11 +727,10 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
         fix, shift = frame(r, 1)
         if unrotate:
             post, shift = apply_unitary(post, fix, [reg]), 0
-        return _read_digit(s, s.erng, r, post, reg, unrotate, shift)[0]
+        return _read_digit(s, _R_EVE, r, post, reg, unrotate, shift)[0]
 
     arrivals = (
         (apply_unitary(state, frame(r, hops)[0], [carrier]), carrier, 0)
         for r, (state, carrier, _) in enumerate(arrived)
     )
-    has_eve = _eavesdropped(channel, d)
-    return _read_and_compare(s, arrivals, eve_digit if has_eve else None, s.total * hops)
+    return _read_and_compare(s, arrivals, eve_digit if s.has_eve else None, s.total * hops)

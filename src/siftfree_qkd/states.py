@@ -62,15 +62,23 @@ ZERO_PROB = 1e-12
 # Dense-storage cap on the total amplitude count of any one state.
 MAX_AMPLITUDES = 2**16
 # Size limit of the operation memo, in units of one complex128 amplitude
-# (16 bytes), so 2**16 is 1 MiB. An entry is charged for the amplitudes it
-# keeps alive (its key's bytes plus its result) plus MEMO_ENTRY_COST for its
-# Python objects (measured at about 0.8 KiB). Entries often share buffers
-# (one op's result is the next op's key), so the charge is an upper bound.
-# Protocol rounds revisit a small set of states (prime-d rotations are
+# (16 bytes), so 2**18 is 4 MiB as charged. An entry is charged for the
+# amplitudes it keeps alive (its key's bytes plus its result) plus
+# MEMO_ENTRY_COST for its Python objects (measured at about 0.8 KiB).
+# Entries often share buffers (one op's result is the next op's key), so the
+# charge runs 1.5-2x the bytes really held.
+# Protocol rounds revisit a finite set of states (prime-d rotations are
 # Clifford and channel kicks are Paulis, so every state is a stabilizer
-# state), but noisy multi-hop runs at large d mostly do not repeat, and a
-# larger table then only costs memory.
-MEMO_LIMIT = 2**16
+# state), and LRU over a cyclic working set larger than the table hits
+# almost nothing. So the limit must hold a whole session's set. Measured
+# with memo_stats() after repeated experiments, the sets stop growing at:
+# two_party d=3 substituted N=256, 860 entries / 139,970 units; third_party
+# trusted d=2 purified N=256, 2,379 / 194,702 units; pre_check d=2 loss,
+# 132 / 9,684 units. At 2**16 the first two missed ~6,000 lookups per
+# experiment. Noisy multi-hop runs at d=7 never settle and hit only a few
+# percent at any limit; for them a full table only costs memory (~2.3 MB of
+# real bytes at this limit, ~1.2 MB more peak RSS than at 2**16).
+MEMO_LIMIT = 2**18
 MEMO_ENTRY_COST = 64
 
 

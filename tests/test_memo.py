@@ -13,6 +13,7 @@ import siftfree_qkd
 from siftfree_qkd import (
     Depolarizing,
     DimensionError,
+    ExperimentSpec,
     FactorizationError,
     MeasurementBasis,
     Rng,
@@ -33,6 +34,7 @@ from siftfree_qkd import (
     pauli_matrix,
     relabel,
     run_chain,
+    run_experiment,
     tensor,
 )
 from siftfree_qkd import states
@@ -285,17 +287,52 @@ def test_failed_ops_raise_every_time_and_are_not_stored(call, error):
     assert (after.hits, after.entries, after.held) == (before.hits, before.entries, before.held)
 
 
-def test_measure_memo_stays_within_limit_after_chain_d7():
-    """The one table every op shares stays within its limit, all ops counted."""
+def test_measure_memo_stays_within_limit_after_chain_d7(monkeypatch):
+    """The one table every op shares stays within its limit, all ops counted.
+
+    A fresh table, so the run must fill it by itself: a noisy d=7 chain
+    rarely repeats a state, and 64 rounds over 3 hops outgrow the limit.
+    """
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
     before = memo_stats()
     cfg = SessionConfig(
-        d=7, m=3, key_length=8, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
+        d=7, m=3, key_length=32, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
     )
     run_chain(cfg, 3)
     after = memo_stats()
     assert after.evictions > before.evictions  # the run did fill the table
     assert after.held <= MEMO_LIMIT
     assert after.entries <= MEMO_LIMIT // MEMO_ENTRY_COST
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(
+            mode="two_party", d=3, m=2, key_length=256, trials=8, channel_kind="substituted"
+        ),
+        ExperimentSpec(
+            mode="third_party_trusted", d=2, m=2, key_length=256, trials=4,
+            channel_kind="purified", abort_threshold=1.0,
+        ),
+    ],
+    ids=["two_party_d3_substituted", "third_party_d2_purified"],
+)
+def test_memo_holds_a_whole_experiment(spec, monkeypatch):
+    """Rounds revisit a finite set of states; the table must hold all of it.
+
+    LRU over a cyclic working set larger than the table hits almost
+    nothing, so an experiment that evicts anything misses thousands of
+    lookups on a repeat. Once the set fits, the repeat runs on hits alone.
+    """
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
+    first = run_experiment(spec)
+    filled = memo_stats()
+    assert filled.evictions == 0
+    assert run_experiment(spec) == first
+    repeat = memo_stats()
+    assert repeat.misses == filled.misses
+    assert repeat.evictions == 0
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,16 @@ from siftfree_qkd import (
     run_third_party,
     run_two_party,
 )
-from siftfree_qkd.sessions import _usable_check_bases
+from siftfree_qkd import rng as rng_module
+from siftfree_qkd.sessions import (
+    _R_CHANNEL,
+    _R_EVE,
+    _R_RECEIVER,
+    _R_SENDER_MEAS,
+    _R_TELEPORT,
+    _R_TRIPLE,
+    _usable_check_bases,
+)
 from siftfree_qkd.states import NORM_TOL
 
 from oracles import FixedOutcome, binomial_sigma, depolarizing_check_error
@@ -174,21 +183,79 @@ def test_chain_size_check_counts_every_hop(monkeypatch):
         run_chain(substituted, 2)
 
 
-def test_round_streams_build_no_generator(monkeypatch):
-    """Every per-round draw comes from the batch: numpy builds a generator
-    only for the session-level streams (rotations, secrets, check positions)
-    instead of one per teleport and one per read-out."""
-    built = []
-    philox = np.random.Philox
+# Each mode on a channel that exercises its per-round streams; the
+# purposes (first path entry) whose first draws it must derive, Eve's only
+# where there is an eavesdropper and the channel's only where it draws;
+# and its session-level streams: rotations, secrets and check positions,
+# plus check bases with pre-measurement and masks when trusted.
+_ROUND_STREAMS = [
+    (
+        run_two_party,
+        SessionConfig(d=3, m=2, key_length=64, seed=11),
+        {_R_TELEPORT, _R_RECEIVER},
+        3,
+    ),
+    (
+        run_two_party,
+        SessionConfig(d=3, m=2, key_length=64, seed=11, channel=SubstitutedAttack()),
+        {_R_TELEPORT, _R_RECEIVER, _R_EVE},
+        3,
+    ),
+    (
+        run_pre_check,
+        SessionConfig(d=2, m=2, key_length=64, seed=12, abort_threshold=1.0, channel=Loss(0.5)),
+        {_R_CHANNEL, _R_TELEPORT, _R_RECEIVER, _R_SENDER_MEAS},
+        4,
+    ),
+    (
+        lambda cfg: run_third_party(cfg, trusted=True),
+        SessionConfig(
+            d=2, m=2, key_length=64, seed=13, abort_threshold=1.0, channel=PurifiedAttack()
+        ),
+        {_R_TELEPORT, _R_RECEIVER, _R_SENDER_MEAS, _R_EVE, _R_TRIPLE},
+        5,
+    ),
+    (
+        lambda cfg: run_chain(cfg, 2),
+        SessionConfig(d=3, m=2, key_length=32, seed=14, abort_threshold=1.0, channel=Loss(0.5)),
+        {_R_CHANNEL, _R_TELEPORT, _R_RECEIVER},
+        3,
+    ),
+]
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return philox(*args, **kwargs)
+
+def test_round_streams_build_no_generator(monkeypatch):
+    """Every per-round draw comes from the batch, and the batch holds only
+    the purposes a mode draws. numpy builds a generator for the
+    session-level streams (rotations, secrets, check positions and bases,
+    masks) and for a lost carrier's second and later retransmits, never one
+    per teleport, read-out, check measurement or first retransmit."""
+    built = []
+    derived = []
+    philox = np.random.Philox
+    first_draws = rng_module.first_draws
+
+    def counting(seed_seq, *args, **kwargs):
+        built.append(tuple(seed_seq.spawn_key))
+        return philox(seed_seq, *args, **kwargs)
+
+    def spying(seed, paths):
+        derived.extend(int(row[0]) for row in paths)
+        return first_draws(seed, paths)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    res = run_two_party(SessionConfig(d=3, m=2, key_length=64, seed=11))
-    assert len(res.bob_digits) == 128
-    assert len(built) <= 3
+    monkeypatch.setattr(rng_module, "first_draws", spying)
+    for run, config, purposes, session_level in _ROUND_STREAMS:
+        built.clear()
+        derived.clear()
+        res = run(config)
+        assert len(res.bob_digits) == 2 * config.key_length
+        assert set(derived) == purposes
+        # Loss p = 0.5 loses carriers at every attempt; retransmits show.
+        assert (kinds(res).count("pair_retransmitted") > 0) == (_R_CHANNEL in purposes)
+        late = [path for path in built if len(path) > 1]
+        assert all(path[0] == _R_CHANNEL and path[-1] >= 2 for path in late), late
+        assert len(built) - len(late) == session_level
 
 
 def test_key_digit_uniformity():
