@@ -9,6 +9,7 @@ third-party-assisted, multi-hop chain) with a batch experiment harness.
 from .bases import (
     bell_basis,
     bell_pair,
+    bell_recycle_ops,
     computational_basis,
     ghz_basis,
     ghz_recycle_ops,

@@ -41,6 +41,7 @@ __all__ = [
     "mub_family",
     "bell_basis",
     "bell_pair",
+    "bell_recycle_ops",
     "ghz_state",
     "ghz_basis",
     "ghz_recycle_ops",
@@ -169,6 +170,16 @@ def bell_basis(d: int) -> MeasurementBasis:
 def bell_pair(d: int, labels: tuple[str, str] = ("A", "B")) -> StateVector:
     """The (0, 0) maximally entangled pair (1/sqrt d) sum_j |j>|j>."""
     return StateVector(labels, (d, d), bell_basis(d).vectors[0])
+
+
+@memoized
+def bell_recycle_ops(d: int) -> tuple[tuple[UnitaryOp], ...]:
+    """Byproduct on the second qudit of the measured pair, indexed like `bell_basis`.
+
+    Entry k*d + l is (Z^(-k) X^(-l),): it returns the collapsed (k, l) vector
+    to the canonical pair up to global phase, so the pair can be reused.
+    """
+    return tuple((pauli_matrix(d, -k % d, -l % d),) for k in range(d) for l in range(d))
 
 
 @memoized

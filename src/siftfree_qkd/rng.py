@@ -203,10 +203,6 @@ class Rng:
             return u
         return self._gen.random(size)
 
-    def complex_normal(self, size):
-        """Standard complex gaussians, used for Haar sampling."""
-        return (self._gen.normal(size=size) + 1j * self._gen.normal(size=size)) / np.sqrt(2.0)
-
     def subset(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n)."""
         return self._gen.choice(n, size=k, replace=False)

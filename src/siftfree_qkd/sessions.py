@@ -61,7 +61,7 @@ from .states import (
     measure,
     tensor,
 )
-from .teleport import correction_op, teleport, teleport_ghz, verify_recycle
+from .teleport import correction_op, teleport, teleport_ghz
 
 __all__ = [
     "ConfigError",
@@ -354,13 +354,9 @@ def _arrivals(sent: Iterable[ChannelResult]) -> tuple[list[StateVector], list[tu
     return states, eve_regs
 
 
-def _teleport_secret(
-    s: _Session, r: int, pair: StateVector, recycled: bool = True
-) -> tuple[StateVector, int]:
+def _teleport_secret(s: _Session, r: int, pair: StateVector) -> tuple[StateVector, int]:
     """Teleport round r's secret through half A of `pair`: (rest, shift l)."""
     out = teleport(basis_state(s.d, s.secrets[r], "A_in"), pair, s.stream(_R_TELEPORT, r))
-    if recycled:
-        verify_recycle(out)
     return out.receiver_state, out.l
 
 
@@ -523,10 +519,11 @@ def _verify_then_key(
     """Verify N random pairs; unless that aborts, the other N carry the key.
 
     `from_sender`: the sender made the pairs, so half B arrived rotated, the
-    rotations go public before the checks, and key pairs are recycled.
-    Otherwise a middleman made them (and recycled his triples); the sender
-    rotates her half by the transpose and publishes the survivors'
-    rotations last. Eve first unmasks the rounds flagged in `eve_masks`.
+    rotations go public before the checks, and the key pairs count as
+    recycled. Otherwise a middleman made them, and his recycled triples
+    count; the sender rotates her half by the transpose and publishes the
+    survivors' rotations last. Every key-pair teleport is recycled and
+    checked either way. Eve first unmasks the rounds flagged in `eve_masks`.
     """
     verdict = _verify_pairs(s, pairs, rotations_public=from_sender)
     survivors = _key_slots(s, verdict)
@@ -538,7 +535,7 @@ def _verify_then_key(
         pair = pairs[r]
         if not from_sender:
             pair = apply_unitary(pair, s.fam.transposes[s.rotations[r]], ["A"])
-        state, l = _teleport_secret(s, r, pair, recycled=from_sender)
+        state, l = _teleport_secret(s, r, pair)
         shifts.append(l)
         alice[r] = s.secrets[r]
         bob[r], post = _read_digit(s, _R_RECEIVER, r, state, "B", True, l)
@@ -702,7 +699,6 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
             if h == 1:
                 eve_regs = sent.eve_labels
             out = teleport(state, sent.state, s.stream(_R_TELEPORT, r, h), carrier=carrier)
-            verify_recycle(out)
             outcomes.append((out.k, out.l))
             state, carrier = out.receiver_state, far
         byproducts.append(outcomes)

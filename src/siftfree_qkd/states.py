@@ -12,14 +12,14 @@ Model limits: pure states only, dense storage, total dimension capped at
 MAX_AMPLITUDES. Mixed states are handled by the callers via trajectory
 sampling, not density matrices.
 
-`tensor`, `apply_unitary`, `measure`, `factor` and `relabel` answer a
-repeat of an exact input (same labels, dimensions, amplitude bytes, targets,
-and the same operator or basis object) from one bounded table, so each
-distinct result is computed and validated once and then shared. A stored
-result is the one a fresh computation returns, bit for bit: `measure` keeps
-the Born probabilities the engine computed, so the random stream sees the
-same floats and picks the same outcome. Failed calls are never stored.
-`memo_stats` reports how the table did.
+`tensor`, `apply_unitary`, `measure`, `relabel` and `teleport`'s swap step
+answer a repeat of an exact input (same labels, dimensions, amplitude bytes,
+targets, and the same operator or basis object) from one bounded table, so
+each distinct result is computed and validated once and then shared. A
+stored result is the one a fresh computation returns, bit for bit:
+`measure` keeps the Born probabilities the engine computed, so the random
+stream sees the same floats and picks the same outcome. Failed calls are
+never stored. `memo_stats` reports how the table did.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ MAX_AMPLITUDES = 2**16
 # state), and LRU over a cyclic working set larger than the table hits
 # almost nothing. So the limit must hold a whole session's set. Measured
 # with memo_stats() after repeated experiments, the sets stop growing at:
-# two_party d=3 substituted N=256, 860 entries / 139,970 units; third_party
-# trusted d=2 purified N=256, 2,379 / 194,702 units; pre_check d=2 loss,
-# 132 / 9,684 units. At 2**16 the first two missed ~6,000 lookups per
+# two_party d=3 substituted N=256, 810 entries / 135,384 units; third_party
+# trusted d=2 purified N=256, 2,337 / 190,206 units; pre_check d=2 loss,
+# 120 / 8,756 units. At 2**16 the first two missed ~6,000 lookups per
 # experiment. Noisy multi-hop runs at d=7 never settle and hit only a few
 # percent at any limit; for them a full table only costs memory (~2.3 MB of
 # real bytes at this limit, ~1.2 MB more peak RSS than at 2**16).
@@ -247,10 +247,10 @@ def _memo_call(key: tuple, key_size: int, compute, *args):
 def memo_stats() -> MemoStats:
     """Counters of the operation memo since the process started.
 
-    Every call of `tensor`, `apply_unitary`, `factor` and `relabel` makes one
-    lookup; a measurement makes two, one for the outcome distribution and
-    one for the post-state of the outcome drawn. `held` is in the units of
-    MEMO_LIMIT and never exceeds it.
+    Every call of `tensor`, `apply_unitary`, `relabel` and `teleport`'s swap
+    step makes one lookup; a measurement makes two, one for the outcome
+    distribution and one for the post-state of the outcome drawn. `held` is
+    in the units of MEMO_LIMIT and never exceeds it.
     """
     return _memo.stats()
 
@@ -421,7 +421,15 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(min(abs(overlap) ** 2, 1.0))
 
 
-def _factor(state: StateVector, labels: tuple[str, ...]) -> tuple[StateVector, StateVector]:
+def factor(state: StateVector, labels: Sequence[str]) -> tuple[StateVector, StateVector]:
+    """Split a product state into (part on `labels`, part on the rest).
+
+    Requires the split to be exact (Schmidt rank 1 across the cut); raises
+    FactorizationError otherwise. Global phase stays on the product: the
+    extracted part gets a real-positive leading amplitude and the remainder
+    carries the rest of the phase.
+    """
+    labels = tuple(labels)
     if len(labels) >= len(state.labels):
         raise LabelError("factor must leave at least one subsystem behind")
     mat, axes, _ = _target_matrix(state, labels)
@@ -444,19 +452,6 @@ def _factor(state: StateVector, labels: tuple[str, ...]) -> tuple[StateVector, S
         StateVector(labels, part_dims, part),
         StateVector(rest_labels, rest_dims, rest),
     )
-
-
-def factor(state: StateVector, labels: Sequence[str]) -> tuple[StateVector, StateVector]:
-    """Split a product state into (part on `labels`, part on the rest).
-
-    Requires the split to be exact (Schmidt rank 1 across the cut); raises
-    FactorizationError otherwise. Global phase stays on the product: the
-    extracted part gets a real-positive leading amplitude and the remainder
-    carries the rest of the phase.
-    """
-    labels = tuple(labels)
-    key = ("factor",) + _state_key(state) + (labels,)
-    return _memo_call(key, state.amps.size, _factor, state, labels)
 
 
 def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:

@@ -5,6 +5,10 @@ receiver holding X^l Z^(-k) |input> up to global phase, where (k, l) is the
 sender's entangled-measurement outcome. The sender's two qudits collapse
 onto the (k, l) basis vector, which two local Pauli factors turn back into
 the canonical pair: nothing is consumed except the classical outcome.
+
+Pair teleports and the middleman's triple measurement share one swap step,
+`_swap`: measure in an entangled basis, split the measured group off,
+recycle it with the outcome's local Paulis and check it; none skips that.
 """
 
 from __future__ import annotations
@@ -12,28 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bases import bell_basis, bell_pair, ghz_basis, ghz_recycle_ops, ghz_state, pauli_matrix
+from .bases import (
+    bell_basis, bell_pair, bell_recycle_ops, ghz_basis, ghz_recycle_ops, ghz_state, pauli_matrix,
+)
 from .rng import Rng
 from .states import (
-    NORM_TOL,
-    DimensionError,
-    StateVector,
-    UnitaryOp,
-    apply_unitary,
-    factor,
-    fidelity,
-    measure,
-    tensor,
+    NORM_TOL, DimensionError, MeasurementBasis, StateVector, UnitaryOp,
+    _apply_unitary, _memo_call, _state_key, factor, fidelity, measure, tensor,
 )
 
-__all__ = [
-    "TeleportOutcome",
-    "teleport",
-    "correction_op",
-    "recycle",
-    "verify_recycle",
-    "teleport_ghz",
-]
+__all__ = ["TeleportOutcome", "teleport", "correction_op", "recycle", "teleport_ghz"]
 
 
 @dataclass(frozen=True)
@@ -41,8 +33,6 @@ class TeleportOutcome:
     """Result of one teleportation.
 
     k, l: entangled-measurement outcome, each in 0..d-1.
-    sender_residual: the sender's two qudits, collapsed onto the (k, l)
-        basis vector (ready for `recycle`).
     receiver_state: everything that was not measured; for a clean pair this
         is the receiver's single qudit.
     probability: Born probability of this outcome (1/d^2 for a clean pair).
@@ -50,9 +40,44 @@ class TeleportOutcome:
 
     k: int
     l: int
-    sender_residual: StateVector
     receiver_state: StateVector
     probability: float
+
+
+def recycle(
+    post: StateVector, targets: tuple[str, ...], ops: tuple[UnitaryOp, ...], canonical: StateVector
+) -> StateVector:
+    """Split the measured `targets` off `post`, recycle them, return the rest.
+
+    `post` holds the targets collapsed onto one entangled-basis vector.
+    ops[i] acts on targets[i + 1]; together they must turn that vector back
+    into `canonical` up to global phase, or this raises AssertionError.
+    """
+    group, rest = factor(post, targets)
+    for op, label in zip(ops, targets[1:]):
+        group = _apply_unitary(group, op, (label,))
+    if fidelity(group, canonical) < 1.0 - NORM_TOL:
+        raise AssertionError(f"recycled {list(targets)} failed to restore the canonical state")
+    return rest
+
+
+def _swap(
+    parts: tuple[StateVector, ...], targets: tuple[str, ...], basis: MeasurementBasis,
+    recycle_ops: tuple[tuple[UnitaryOp, ...], ...], canonical: StateVector, rng: Rng,
+) -> tuple[int, StateVector, float]:
+    """Measure `targets` of tensor(parts) in `basis`; recycle and check them.
+
+    Returns (outcome, rest, probability); `rng` picks the outcome as in
+    `measure`, and recycle_ops[outcome] recycles it. The operation memo
+    answers a repeat of the post state and operators, so each is checked
+    once; a failed check stores nothing. The key leaves out `canonical`,
+    which the targets and their dimensions fix.
+    """
+    outcome, post, prob = measure(tensor(parts), targets, basis, rng)
+    ops = recycle_ops[outcome]
+    key = ("swap",) + _state_key(post) + (targets, ops)
+    rest = _memo_call(key, post.amps.size, recycle, post, targets, ops, canonical)
+    return outcome, rest, prob
 
 
 def teleport(
@@ -64,7 +89,9 @@ def teleport(
     input holds more registers (a state relayed by earlier hops). Extra
     registers of either argument (channel ancillas, an eavesdropper's
     registers) travel along inside receiver_state. `rng` picks the outcome
-    as in `measure`: outcome (k, l) is index k*d + l.
+    as in `measure`: outcome (k, l) is index k*d + l. The sender's measured
+    pair is recycled with `bell_recycle_ops` and checked against the
+    canonical pair.
     """
     if carrier is None:
         if len(input_state.labels) != 1:
@@ -74,16 +101,16 @@ def teleport(
     if len(pair.labels) < 2:
         raise DimensionError("pair must hold at least two subsystems")
     if pair.dims[0] != d or pair.dims[1] != d:
-        raise DimensionError(
-            f"pair subsystem dims {pair.dims[:2]} do not match input dim {d}"
-        )
+        raise DimensionError(f"pair subsystem dims {pair.dims[:2]} do not match input dim {d}")
     if set(input_state.labels) & set(pair.labels):
         raise DimensionError("input label collides with a pair label")
-    targets = [carrier, pair.labels[0]]
-    outcome, post, prob = measure(tensor([input_state, pair]), targets, bell_basis(d), rng)
+    targets = (carrier, pair.labels[0])
+    canonical = bell_pair(d, targets)
+    outcome, receiver, prob = _swap(
+        (input_state, pair), targets, bell_basis(d), bell_recycle_ops(d), canonical, rng
+    )
     k, l = divmod(outcome, d)
-    residual, receiver = factor(post, targets)
-    return TeleportOutcome(k, l, residual, receiver, prob)
+    return TeleportOutcome(k, l, receiver, prob)
 
 
 def correction_op(d: int, k: int, l: int) -> UnitaryOp:
@@ -91,30 +118,7 @@ def correction_op(d: int, k: int, l: int) -> UnitaryOp:
     return pauli_matrix(d, k % d, (-l) % d)
 
 
-def recycle(residual: StateVector, k: int, l: int) -> StateVector:
-    """Restore a collapsed sender pair to the canonical (0, 0) pair.
-
-    Applies Z^(-k) X^(-l) to the second qudit; the result matches
-    bell_pair(d) up to global phase.
-    """
-    if len(residual.labels) != 2 or residual.dims[0] != residual.dims[1]:
-        raise DimensionError("residual must be a pair of equal-dimension qudits")
-    d = residual.dims[0]
-    return apply_unitary(residual, pauli_matrix(d, -k % d, -l % d), [residual.labels[1]])
-
-
-def verify_recycle(outcome: TeleportOutcome) -> StateVector:
-    """Recycle the sender's residual; AssertionError unless it is the canonical pair."""
-    residual = outcome.sender_residual
-    restored = recycle(residual, outcome.k, outcome.l)
-    if fidelity(restored, bell_pair(residual.dims[0], residual.labels)) < 1.0 - NORM_TOL:
-        raise AssertionError("recycled pair failed to restore the canonical state")
-    return restored
-
-
-def teleport_ghz(
-    flying: StateVector, ghz: StateVector, rng: Rng
-) -> tuple[int, StateVector]:
+def teleport_ghz(flying: StateVector, ghz: StateVector, rng: Rng) -> tuple[int, StateVector]:
     """Measure (flying qubits + creator's qubit) in the entangled triple basis.
 
     `ghz` lists the creator's retained qubit first; the remaining subsystems
@@ -122,8 +126,8 @@ def teleport_ghz(
     second element. Outcomes 0,1,4,5 leave a clean distributed pair in
     (|00>+|11>)/sqrt2 and outcomes 2,3,6,7 in (|00>-|11>)/sqrt2. The
     measured triple is recycled with `ghz_recycle_ops` and checked against
-    the canonical GHZ state, as `verify_recycle` does for pairs. `rng`
-    picks the outcome as in `measure`.
+    the canonical GHZ state, as `teleport` does for pairs. `rng` picks the
+    outcome as in `measure`.
     """
     if len(flying.labels) != 2 or flying.dims != (2, 2):
         raise DimensionError("flying register must be exactly two qubits")
@@ -131,12 +135,8 @@ def teleport_ghz(
         raise DimensionError("ghz argument must start with the creator's qubit")
     if set(flying.labels) & set(ghz.labels):
         raise DimensionError("flying labels collide with ghz labels")
-    targets = list(flying.labels) + [ghz.labels[0]]
-    outcome, post, _ = measure(tensor([flying, ghz]), targets, ghz_basis(), rng)
-    residual, rest = factor(post, targets)
-    op2, op3 = ghz_recycle_ops()[outcome]
-    restored = apply_unitary(residual, op2, [targets[1]])
-    restored = apply_unitary(restored, op3, [targets[2]])
-    if fidelity(restored, ghz_state(tuple(targets))) < 1.0 - NORM_TOL:
-        raise AssertionError("recycled triple failed to restore canonical form")
+    targets = flying.labels + ghz.labels[:1]
+    outcome, rest, _ = _swap(
+        (flying, ghz), targets, ghz_basis(), ghz_recycle_ops(), ghz_state(targets), rng
+    )
     return outcome, rest

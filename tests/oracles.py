@@ -259,9 +259,19 @@ def fourier_basis(d: int) -> MeasurementBasis:
     return MeasurementBasis(d, vecs)
 
 
+def complex_normal(rng: Rng, size):
+    """Standard complex gaussians from `rng`'s numpy generator.
+
+    Draws continue the stream's own generator, so consecutive calls on one
+    `Rng` give fresh values and a seed always gives the same ones.
+    """
+    gen = rng._gen
+    return (gen.normal(size=size) + 1j * gen.normal(size=size)) / np.sqrt(2.0)
+
+
 def haar_unitary(dim: int, rng: Rng) -> UnitaryOp:
     """Haar-distributed unitary via QR of a complex gaussian matrix."""
-    z = rng.complex_normal((dim, dim))
+    z = complex_normal(rng, (dim, dim))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return UnitaryOp(dim, q * (diag / np.abs(diag)))
@@ -269,7 +279,7 @@ def haar_unitary(dim: int, rng: Rng) -> UnitaryOp:
 
 def haar_state(dim: int, rng: Rng) -> np.ndarray:
     """Haar-distributed unit vector."""
-    v = rng.complex_normal(dim)
+    v = complex_normal(rng, dim)
     return v / np.linalg.norm(v)
 
 

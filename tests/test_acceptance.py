@@ -43,6 +43,7 @@ from oracles import (
     bb84_correspondence_check,
     binomial_sigma,
     blind_guess_monte_carlo,
+    complex_normal,
     depolarizing_check_error,
     ghz_bracket_expansion,
     haar_unitary,
@@ -50,7 +51,7 @@ from oracles import (
 
 
 def _random_input(d, rng, label="in"):
-    amps = rng.complex_normal(d)
+    amps = complex_normal(rng, d)
     return StateVector((label,), (d,), amps / np.linalg.norm(amps))
 
 

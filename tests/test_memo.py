@@ -14,7 +14,7 @@ from siftfree_qkd import (
     Depolarizing,
     DimensionError,
     ExperimentSpec,
-    FactorizationError,
+    LabelError,
     MeasurementBasis,
     Rng,
     SessionConfig,
@@ -24,9 +24,9 @@ from siftfree_qkd import (
     basis_state,
     bell_basis,
     bell_pair,
+    bell_recycle_ops,
     computational_basis,
     controlled_shift,
-    factor,
     ghz_basis,
     ghz_state,
     measure,
@@ -35,6 +35,8 @@ from siftfree_qkd import (
     relabel,
     run_chain,
     run_experiment,
+    teleport,
+    teleport_ghz,
     tensor,
 )
 from siftfree_qkd import states
@@ -72,6 +74,7 @@ def _assert_read_only(arr):
             lambda f: [b.vectors for b in f.bases]
             + [u.matrix for u in f.unitaries + f.inverses + f.transposes],
         ),
+        (lambda: bell_recycle_ops(3), lambda t: [op.matrix for ops in t for op in ops]),
     ],
 )
 def test_constructor_repeat_returns_same_frozen_object(build, arrays):
@@ -190,6 +193,10 @@ def _flat(result):
     return [result]
 
 
+def _outcome(out):
+    return out.k, out.l, out.receiver_state, out.probability
+
+
 # The Bell basis read as a 9x9 unitary: one operator object that mixes two
 # registers.
 _MIX = UnitaryOp(9, bell_basis(3).vectors)
@@ -199,8 +206,8 @@ _OPS = {
     "apply_unitary": lambda: apply_unitary(
         random_state(("A", "B", "C"), (3, 2, 3), 3), _MIX, ["C", "A"]
     ),
-    "factor": lambda: factor(
-        tensor([random_state(("A", "C"), (2, 3), 4), random_state(("B",), (5,), 5)]), ["C", "A"]
+    "teleport": lambda: _outcome(
+        teleport(random_state(("E", "psi"), (3, 2), 4), bell_pair(2), Rng(5), carrier="psi")
     ),
     "relabel": lambda: relabel(random_state(("A", "B"), (3, 2), 6), {"B": "E", "A": "F"}),
     "measure": lambda: measure(
@@ -257,18 +264,38 @@ def test_list_and_tuple_targets_share_one_entry():
     first = apply_unitary(state, op, ["B"])
     before = memo_stats()
     assert apply_unitary(state, op, ("B",)) is first
-    assert factor(tensor([first, basis_state(2, 1, "D")]), ["D"]) is factor(
-        tensor([first, basis_state(2, 1, "D")]), ("D",)
-    )
+    joint = tensor([first, basis_state(2, 1, "D")])
+    basis = computational_basis(2)
+    post = measure(joint, ["D"], basis, FixedOutcome(1))[1]
+    assert measure(tensor([first, basis_state(2, 1, "D")]), ("D",), basis, Rng(0))[1] is post
     after = memo_stats()
-    assert after.hits == before.hits + 3  # the second apply, tensor and factor
-    assert after.misses == before.misses + 2  # the first tensor and factor
+    assert after.hits == before.hits + 4  # the second apply, tensor and measure (2)
+    assert after.misses == before.misses + 3  # the first tensor and measure (2)
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [
+        lambda picker: teleport(basis_state(3, 1, "A_in"), bell_pair(3), picker),
+        lambda picker: teleport_ghz(
+            StateVector(("F1", "F2"), (2, 2), [0, 1, 0, 0]), ghz_state(), picker
+        ),
+    ],
+    ids=["pair", "triple"],
+)
+def test_warm_swap_makes_four_lookups(swap):
+    """tensor 1, measure 2 (distribution and post state), swap 1; no misses."""
+    swap(FixedOutcome(4))
+    before = memo_stats()
+    swap(FixedOutcome(4))
+    after = memo_stats()
+    assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
 
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: factor(bell_pair(3, ("A", "B")), ["A"]), FactorizationError),
+        (lambda: relabel(random_state(("A", "B"), (3, 2), 14), {"Z": "Q"}), LabelError),
         (
             lambda: apply_unitary(random_state(("A", "B"), (3, 2), 12), pauli_matrix(2, 1, 0), ["A"]),
             DimensionError,

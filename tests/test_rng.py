@@ -15,6 +15,8 @@ from siftfree_qkd import Rng
 from siftfree_qkd import rng as rng_module
 from siftfree_qkd.rng import first_draws, with_first_draws
 
+from oracles import complex_normal
+
 
 def test_same_seed_same_stream():
     a = Rng(12345).integers(0, 1000, size=20)
@@ -130,7 +132,7 @@ def test_pick_matches_numpy_cumsum_and_searchsorted():
 
 
 def test_complex_normal_shape_and_spread():
-    z = Rng(8).complex_normal((200, 3))
+    z = complex_normal(Rng(8), (200, 3))
     assert z.shape == (200, 3)
     # unit-variance complex gaussian: E|z|^2 = 1
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.15

@@ -26,11 +26,11 @@ from siftfree_qkd import (
 )
 from siftfree_qkd.states import memo_stats
 
-from oracles import FixedOutcome, born_probabilities, fourier_basis
+from oracles import FixedOutcome, born_probabilities, complex_normal, fourier_basis
 
 
 def random_state(labels, dims, seed):
-    amps = Rng(seed).complex_normal(int(np.prod(dims)))
+    amps = complex_normal(Rng(seed), int(np.prod(dims)))
     return StateVector(tuple(labels), tuple(dims), amps / np.linalg.norm(amps))
 
 
@@ -112,7 +112,7 @@ class TestTensorAndUnitaries:
     def test_apply_unitary_matches_kron_oracle(self):
         rng = Rng(5)
         s = random_state(["A", "B", "C"], (2, 3, 2), 17)
-        u_raw = np.linalg.qr(rng.complex_normal((3, 3)))[0]
+        u_raw = np.linalg.qr(complex_normal(rng, (3, 3)))[0]
         u = UnitaryOp(3, u_raw)
         direct = apply_unitary(s, u, ["B"])
         oracle = (np.kron(np.kron(np.eye(2), u_raw), np.eye(2)) @ s.amps)
@@ -138,7 +138,7 @@ class TestTensorAndUnitaries:
     def test_unitary_preserves_norm(self, seed):
         rng = Rng(seed)
         s = random_state(["A", "B"], (3, 3), seed)
-        q = np.linalg.qr(rng.complex_normal((3, 3)))[0]
+        q = np.linalg.qr(complex_normal(rng, (3, 3)))[0]
         out = apply_unitary(s, UnitaryOp(3, q), ["A"])
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
 

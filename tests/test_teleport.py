@@ -8,26 +8,41 @@ import pytest
 from siftfree_qkd import (
     DimensionError,
     Rng,
+    SessionConfig,
     StateVector,
     apply_unitary,
     basis_state,
+    bell_basis,
     bell_pair,
+    bell_recycle_ops,
     computational_basis,
     correction_op,
     fidelity,
+    ghz_recycle_ops,
     ghz_state,
     measure,
     mub_family,
     pauli_matrix,
     recycle,
+    run_chain,
+    run_pre_check,
+    run_third_party,
+    run_two_party,
     teleport,
     teleport_ghz,
     tensor,
 )
-from siftfree_qkd.states import NORM_TOL, MeasurementBasis
-from siftfree_qkd.teleport import TeleportOutcome, verify_recycle
+from siftfree_qkd import states
+from siftfree_qkd.memo import MemoTable
+from siftfree_qkd.states import MEMO_LIMIT, NORM_TOL, MeasurementBasis, memo_stats
 
-from oracles import FixedOutcome, frame_x_shift, ghz_bracket_expansion, teleport_reference
+from oracles import (
+    FixedOutcome,
+    complex_normal,
+    frame_x_shift,
+    ghz_bracket_expansion,
+    teleport_reference,
+)
 
 # The package's `teleport` attribute is the function; this is the module.
 teleport_module = importlib.import_module("siftfree_qkd.teleport")
@@ -64,7 +79,7 @@ def test_kicked_round_reads_secret_plus_pauli_frame_shift(d):
 
 
 def random_qudit(d, seed, label="psi"):
-    amps = Rng(seed).complex_normal(d)
+    amps = complex_normal(Rng(seed), d)
     return StateVector((label,), (d,), amps / np.linalg.norm(amps))
 
 
@@ -85,7 +100,7 @@ def test_forced_outcome_matches_reference(d):
 
 def carried_state(d, seed):
     """A relayed carrier "psi", entangled with a register "E" listed first."""
-    amps = Rng(seed).complex_normal(3 * d)
+    amps = complex_normal(Rng(seed), 3 * d)
     return StateVector(("E", "psi"), (3, d), amps / np.linalg.norm(amps))
 
 
@@ -109,7 +124,6 @@ def test_correction_restores_input(d, carried):
             assert abs(out.probability - 1.0 / d**2) < 1e-12
             fixed = apply_unitary(out.receiver_state, correction_op(d, k, l), ["B"])
             assert fidelity(fixed, target) > 1 - 1e-9
-            assert fidelity(verify_recycle(out), bell_pair(d, ("psi", "A"))) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -121,26 +135,38 @@ def test_sampled_teleport_of_a_named_carrier(d):
         out = teleport(state, bell_pair(d), rng, carrier="psi")
         fixed = apply_unitary(out.receiver_state, correction_op(d, out.k, out.l), ["B"])
         assert fidelity(fixed, target) > 1 - 1e-9
-        verify_recycle(out)
+
+
+def collapsed(state, d, outcome):
+    """`state` teleported through a fresh pair, measured with `outcome` drawn."""
+    _, post, _ = measure(
+        tensor([state, bell_pair(d)]), ("psi", "A"), bell_basis(d), FixedOutcome(outcome)
+    )
+    return post
 
 
 def test_recycle_check_rejects_a_wrong_outcome():
-    out = teleport(random_qudit(3, 2), bell_pair(3), FixedOutcome(1 * 3 + 2))
-    verify_recycle(out)
-    wrong = TeleportOutcome(2, 2, out.sender_residual, out.receiver_state, out.probability)
-    with pytest.raises(AssertionError):
-        verify_recycle(wrong)
+    d, outcome = 3, 1 * 3 + 2
+    post = collapsed(random_qudit(d, 2), d, outcome)
+    canonical = bell_pair(d, ("psi", "A"))
+    ops = bell_recycle_ops(d)
+    recycle(post, ("psi", "A"), ops[outcome], canonical)
+    with pytest.raises(AssertionError, match="canonical state"):
+        recycle(post, ("psi", "A"), ops[2 * 3 + 2], canonical)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_recycle_restores_canonical_pair(d):
+    """Every outcome's operators restore the pair; the rest is the receiver's."""
     state = random_qudit(d, 11)
     canonical = bell_pair(d, ("psi", "A"))
     for k in range(d):
         for l in range(d):
+            post = collapsed(state, d, k * d + l)
+            rest = recycle(post, ("psi", "A"), bell_recycle_ops(d)[k * d + l], canonical)
             out = teleport(state, bell_pair(d), FixedOutcome(k * d + l))
-            restored = recycle(out.sender_residual, k, l)
-            assert fidelity(restored, canonical) > 1 - 1e-9
+            assert rest.labels == out.receiver_state.labels == ("B",)
+            np.testing.assert_array_equal(rest.amps, out.receiver_state.amps)
 
 
 def test_sampled_outcomes_are_uniform():
@@ -253,9 +279,9 @@ class TestTripleMeasurement:
         shuffled = MeasurementBasis(8, np.roll(teleport_module.ghz_basis().vectors, 1, axis=0))
         monkeypatch.setattr(teleport_module, "ghz_basis", lambda: shuffled)
         for outcome in range(8):
-            with pytest.raises(AssertionError, match="triple"):
+            with pytest.raises(AssertionError, match="canonical state"):
                 teleport_ghz(flying, ghz_state(), FixedOutcome(outcome))
-        with pytest.raises(AssertionError, match="triple"):
+        with pytest.raises(AssertionError, match="canonical state"):
             teleport_ghz(flying, ghz_state(), Rng(3))
 
     def test_flying_register_validation(self):
@@ -263,3 +289,63 @@ class TestTripleMeasurement:
             teleport_ghz(basis_state(2, 0, "F1"), ghz_state(), FixedOutcome(0))
         with pytest.raises(DimensionError):
             teleport_ghz(bell_pair(2, ("F1", "F2")), bell_pair(2), FixedOutcome(0))
+
+
+# Every mode at d = 2 on an ideal channel, so no check aborts before the
+# key-pair teleports run.
+_MODES = {
+    "two_party": run_two_party,
+    "pre_check": run_pre_check,
+    "third_party": run_third_party,
+    "chain": lambda config: run_chain(config, 2),
+}
+_CONFIG = SessionConfig(d=2, m=2, key_length=4, seed=5)
+
+
+def _rolled(table):
+    """The table with every outcome given the next outcome's operators."""
+    return table[1:] + table[:1]
+
+
+def _wrong_tables(monkeypatch, table):
+    if table == "bell":
+        right = bell_recycle_ops(2)
+        monkeypatch.setattr(teleport_module, "bell_recycle_ops", lambda d: _rolled(right))
+    else:
+        right = ghz_recycle_ops()
+        monkeypatch.setattr(teleport_module, "ghz_recycle_ops", lambda: _rolled(right))
+
+
+_CASES = pytest.mark.parametrize(
+    "mode, table",
+    [(mode, "bell") for mode in _MODES] + [("third_party", "ghz")],
+    ids=lambda x: x,
+)
+
+
+@_CASES
+def test_every_mode_checks_every_recycle(mode, table, monkeypatch):
+    """A wrong recycle table fails the first swap of every mode.
+
+    The third-party key pairs come from the middleman's triples, and their
+    teleports are checked like every other.
+    """
+    _wrong_tables(monkeypatch, table)
+    with pytest.raises(AssertionError, match="canonical state"):
+        _MODES[mode](_CONFIG)
+
+
+@_CASES
+def test_failed_recycle_check_stores_nothing(mode, table, monkeypatch):
+    """On a warm table a failed run adds no entry, and a correct run still passes."""
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
+    first = _MODES[mode](_CONFIG)
+    before = memo_stats()
+    with monkeypatch.context() as patch:
+        _wrong_tables(patch, table)
+        with pytest.raises(AssertionError, match="canonical state"):
+            _MODES[mode](_CONFIG)
+    after = memo_stats()
+    assert after.misses > before.misses  # the failed swap was computed, not stored
+    assert (after.entries, after.held) == (before.entries, before.held)
+    assert _MODES[mode](_CONFIG) == first
