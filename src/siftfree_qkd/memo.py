@@ -94,7 +94,9 @@ def memoized(fn):
 
     Only for functions whose results are immutable: every caller passing
     equal arguments receives the same object. Calls with unhashable
-    arguments (labels given as a list, say) are computed afresh.
+    arguments (labels given as a list, say) are computed afresh. The
+    wrapper's `stats()` returns its table's MemoStats, so its misses count
+    the results really built.
     """
     table = MemoTable(CONSTRUCTOR_MEMO_ENTRIES)
 
@@ -110,4 +112,5 @@ def memoized(fn):
             table.put(key, value)
         return value
 
+    cached.stats = table.stats
     return cached

@@ -680,6 +680,15 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
     _check_teleport_size(d, added_dim(channel, d) ** hops, channel.kind)
     s = _Session(config, (_R_TELEPORT, _R_RECEIVER), hops)
     parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
+    # Per hop: its pair's builder, the far label, its channel streams, and
+    # the parties at either end.
+    links = [
+        (
+            partial(bell_pair, d, (f"L{h}a", f"L{h}b")), f"L{h}b",
+            s.links[h - 1], parties[h - 1], parties[h],
+        )
+        for h in range(1, hops + 1)
+    ]
     byproducts: list[list[tuple[int, int]]] = []
     # Per round: the carried state, its carrier label, and Eve's registers
     # from hop 1, the one she decodes from.
@@ -690,12 +699,8 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
         )
         carrier = "W"
         outcomes: list[tuple[int, int]] = []
-        for h in range(1, hops + 1):
-            near, far = f"L{h}a", f"L{h}b"
-            sent = _transmit(
-                s, partial(bell_pair, d, (near, far)), far, channel,
-                s.links[h - 1], r, parties[h - 1], parties[h],
-            )
+        for h, (build, far, link, sender, receiver) in enumerate(links, 1):
+            sent = _transmit(s, build, far, channel, link, r, sender, receiver)
             if h == 1:
                 eve_regs = sent.eve_labels
             out = teleport(state, sent.state, s.stream(_R_TELEPORT, r, h), carrier=carrier)

@@ -17,9 +17,13 @@ answer a repeat of an exact input (same labels, dimensions, amplitude bytes,
 targets, and the same operator or basis object) from one bounded table, so
 each distinct result is computed and validated once and then shared. A
 stored result is the one a fresh computation returns, bit for bit:
-`measure` keeps the Born probabilities the engine computed, so the random
-stream sees the same floats and picks the same outcome. Failed calls are
-never stored. `memo_stats` reports how the table did.
+`measure` and the swap keep the Born probabilities the engine computed, so
+the random stream sees the same floats and picks the same outcome. Failed
+calls are never stored. `memo_stats` reports how the table did.
+
+The public `StateVector` constructor checks everything. States the engine
+computes from checked states skip what the engine guarantees (label and
+dimension types, sizes, the cap) and keep the norm and finiteness check.
 """
 
 from __future__ import annotations
@@ -65,19 +69,21 @@ MAX_AMPLITUDES = 2**16
 # (16 bytes), so 2**18 is 4 MiB as charged. An entry is charged for the
 # amplitudes it keeps alive (its key's bytes plus its result) plus
 # MEMO_ENTRY_COST for its Python objects (measured at about 0.8 KiB).
-# Entries often share buffers (one op's result is the next op's key), so the
-# charge runs 1.5-2x the bytes really held.
+# Entries share buffers (a measurement's post-state entries hold its
+# distribution's key, and one op's result is often the next op's key), so
+# the charge runs about 2x the amplitude bytes really held on the workloads
+# below, and about 1.3x on a full table from a noisy d=7 chain.
 # Protocol rounds revisit a finite set of states (prime-d rotations are
 # Clifford and channel kicks are Paulis, so every state is a stabilizer
 # state), and LRU over a cyclic working set larger than the table hits
 # almost nothing. So the limit must hold a whole session's set. Measured
 # with memo_stats() after repeated experiments, the sets stop growing at:
-# two_party d=3 substituted N=256, 810 entries / 135,384 units; third_party
-# trusted d=2 purified N=256, 2,337 / 190,206 units; pre_check d=2 loss,
-# 120 / 8,756 units. At 2**16 the first two missed ~6,000 lookups per
+# two_party d=3 substituted N=256, 750 entries / 93,798 units; third_party
+# trusted d=2 purified N=256, 2,017 / 152,654 units; pre_check d=2 loss,
+# 100 / 7,124 units. At 2**16 the first two missed ~6,000 lookups per
 # experiment. Noisy multi-hop runs at d=7 never settle and hit only a few
-# percent at any limit; for them a full table only costs memory (~2.3 MB of
-# real bytes at this limit, ~1.2 MB more peak RSS than at 2**16).
+# percent at any limit; for them a full table only costs memory (~2.2 MB of
+# amplitudes held at this limit).
 MEMO_LIMIT = 2**18
 MEMO_ENTRY_COST = 64
 
@@ -110,6 +116,16 @@ def _as_complex_vector(values, length: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    """DimensionError unless the amplitudes are finite and of unit norm."""
+    nrm = float(np.vdot(amps, amps).real)
+    # Every term |a|^2 is >= 0, so a finite norm rules out NaN and Inf.
+    if not isfinite(nrm) and not np.all(np.isfinite(amps.view(np.float64))):
+        raise DimensionError("amplitudes must be finite (no NaN/Inf)")
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise DimensionError(f"state norm^2 = {nrm!r}, not 1 within {NORM_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state over labeled qudit subsystems.
@@ -130,8 +146,7 @@ class StateVector:
         dims = tuple(int(x) for x in self.dims)
         if len(labels) != len(dims) or not labels:
             raise LabelError("labels and dims must be non-empty and same length")
-        if len(set(labels)) != len(labels):
-            raise LabelError(f"duplicate subsystem labels in {labels}")
+        _check_unique(labels)
         if any(d < 2 for d in dims):
             raise DimensionError("every subsystem dimension must be >= 2")
         total = prod(dims)
@@ -140,12 +155,7 @@ class StateVector:
                 f"state of dimension {total} exceeds cap {MAX_AMPLITUDES}"
             )
         amps = _as_complex_vector(self.amps, total)
-        nrm = float(np.vdot(amps, amps).real)
-        # Every term |a|^2 is >= 0, so a finite norm rules out NaN and Inf.
-        if not isfinite(nrm) and not np.all(np.isfinite(amps.view(np.float64))):
-            raise DimensionError("amplitudes must be finite (no NaN/Inf)")
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise DimensionError(f"state norm^2 = {nrm!r}, not 1 within {NORM_TOL}")
+        _check_norm(amps)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -163,6 +173,27 @@ class StateVector:
         # Copies and unpickled states go through the constructor too, so
         # their amplitudes sit in bytes like every other state's.
         return StateVector, (self.labels, self.dims, self.amps)
+
+
+def _engine_state(labels: tuple[str, ...], dims: tuple[int, ...], amps) -> StateVector:
+    """A state the engine computed from states that passed the constructor.
+
+    Their labels are strings, their dimensions ints >= 2, and every result
+    stays within the cap (`_tensor` checks the one op that grows a state),
+    so only the amplitudes are checked here: finite and of unit norm. The
+    callers that can produce a duplicate label, `_tensor` and `_relabel`,
+    check it themselves.
+    """
+    amps = _as_complex_vector(amps)
+    _check_norm(amps)
+    state = object.__new__(StateVector)
+    state.__dict__.update(labels=labels, dims=dims, amps=amps)
+    return state
+
+
+def _check_unique(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise LabelError(f"duplicate subsystem labels in {labels}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,37 +251,39 @@ def _state_key(state: StateVector) -> tuple:
     return state.labels, state.dims, state.amps.base
 
 
-def _amplitudes(value) -> int:
-    """Amplitudes a result keeps alive: in its states, arrays and tuples of them."""
-    if isinstance(value, StateVector):
-        return value.amps.size
-    if isinstance(value, np.ndarray):
-        return value.size
-    if isinstance(value, tuple):
-        return sum(map(_amplitudes, value))
-    return 0
-
-
-def _memo_call(key: tuple, key_size: int, compute, *args):
+def _memo_call(key: tuple, size: int, compute, *args):
     """`compute(*args)`, or the result stored under `key` by an earlier call.
 
-    key_size is the amplitude count of the state bytes inside `key`. An
-    exception propagates and leaves nothing stored.
+    size is the amplitude count the entry keeps alive: the state bytes
+    inside `key` plus the arrays of the result, which each caller knows
+    before computing it. An exception propagates and leaves nothing stored.
     """
     value = _memo.get(key)
     if value is None:
         value = compute(*args)
-        _memo.put(key, value, key_size + _amplitudes(value) + MEMO_ENTRY_COST)
+        _memo.put(key, value, size + MEMO_ENTRY_COST)
     return value
+
+
+def _pick(rng: Rng, probs: np.ndarray) -> tuple[int, float]:
+    """`rng.pick(probs)` and its probability; ZeroProbabilityError below ZERO_PROB."""
+    outcome = rng.pick(probs)
+    prob = float(probs[outcome])
+    if prob < ZERO_PROB:
+        raise ZeroProbabilityError(
+            f"outcome {outcome} has probability {prob!r}, below {ZERO_PROB}"
+        )
+    return outcome, prob
 
 
 def memo_stats() -> MemoStats:
     """Counters of the operation memo since the process started.
 
-    Every call of `tensor`, `apply_unitary`, `relabel` and `teleport`'s swap
-    step makes one lookup; a measurement makes two, one for the outcome
-    distribution and one for the post-state of the outcome drawn. `held` is
-    in the units of MEMO_LIMIT and never exceeds it.
+    Every call of `tensor`, `apply_unitary` and `relabel` makes one lookup.
+    A measurement makes two, one for the outcome distribution and one for
+    the post-state of the outcome drawn; `teleport`'s swap step makes two
+    the same way, the second for the recycled rest. `held` is in the units
+    of MEMO_LIMIT and never exceeds it.
     """
     return _memo.stats()
 
@@ -278,7 +311,8 @@ def _tensor(parts: tuple[StateVector, ...]) -> StateVector:
             )
         # The products np.kron forms for vectors, without its shape handling.
         amps = np.multiply.outer(amps, part.amps).reshape(-1)
-    return StateVector(labels, dims, amps)
+    _check_unique(labels)
+    return _engine_state(labels, dims, amps)
 
 
 def tensor(parts: Sequence[StateVector]) -> StateVector:
@@ -287,7 +321,8 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
     if not parts:
         raise LabelError("tensor needs at least one state")
     key = ("tensor",) + tuple(_state_key(part) for part in parts)
-    return _memo_call(key, sum(part.amps.size for part in parts), _tensor, parts)
+    sizes = [part.amps.size for part in parts]
+    return _memo_call(key, sum(sizes) + prod(sizes), _tensor, parts)
 
 
 def _target_axes(state: StateVector, targets: Sequence[str]) -> tuple[int, ...]:
@@ -314,19 +349,21 @@ def _target_matrix(state: StateVector, targets: Sequence[str]):
 
     Target axes come first, in the order the caller listed them; the other
     subsystems keep their relative order. Returns the matrix, the target
-    axes, and the layout `_rebuild` needs to put a result back.
+    axes, and the layout `_rebuild` needs to put a result back: the state's
+    labels and dimensions and how the matrix was moved.
     """
     axes = _target_axes(state, targets)
     order, inverse = _axis_orders(len(state.dims), axes)
     moved = state.amps.reshape(state.dims).transpose(order)
     tdim = prod(moved.shape[: len(axes)])
-    return moved.reshape(tdim, -1), axes, (moved.shape, inverse)
+    return moved.reshape(tdim, -1), axes, (state.labels, state.dims, moved.shape, inverse)
 
 
-def _rebuild(state: StateVector, layout, flat: np.ndarray) -> StateVector:
-    shape, inverse = layout
+def _rebuild(layout, flat: np.ndarray) -> StateVector:
+    """`flat`, laid out as `_target_matrix` gave it, as a state again."""
+    labels, dims, shape, inverse = layout
     arr = flat.reshape(shape).transpose(inverse)
-    return StateVector(state.labels, state.dims, arr.reshape(-1))
+    return _engine_state(labels, dims, arr.reshape(-1))
 
 
 def _apply_unitary(state: StateVector, op: UnitaryOp, targets: tuple[str, ...]) -> StateVector:
@@ -335,7 +372,7 @@ def _apply_unitary(state: StateVector, op: UnitaryOp, targets: tuple[str, ...]) 
         raise DimensionError(
             f"operator dim {op.dim} != target group dim {mat.shape[0]}"
         )
-    return _rebuild(state, layout, op.matrix @ mat)
+    return _rebuild(layout, op.matrix @ mat)
 
 
 def apply_unitary(state: StateVector, op: UnitaryOp, targets: Sequence[str]) -> StateVector:
@@ -344,7 +381,7 @@ def apply_unitary(state: StateVector, op: UnitaryOp, targets: Sequence[str]) -> 
     # Operators compare by identity, and the key's reference keeps the
     # operator alive, so a recycled id can never alias an entry.
     key = ("apply_unitary",) + _state_key(state) + (op, targets)
-    return _memo_call(key, state.amps.size, _apply_unitary, state, op, targets)
+    return _memo_call(key, 2 * state.amps.size, _apply_unitary, state, op, targets)
 
 
 def _outcome_amplitudes(state: StateVector, targets: Sequence[str], basis: MeasurementBasis):
@@ -359,16 +396,11 @@ def _outcome_amplitudes(state: StateVector, targets: Sequence[str], basis: Measu
 
 
 def _collapse(
-    state: StateVector,
-    basis: MeasurementBasis,
-    branch_row: np.ndarray,
-    prob: float,
-    outcome: int,
-    layout,
+    basis: MeasurementBasis, branch_row: np.ndarray, prob: float, outcome: int, layout
 ) -> StateVector:
     rest = branch_row / np.sqrt(prob)
     full = np.multiply.outer(basis.vectors[outcome], rest)
-    return _rebuild(state, layout, full)
+    return _rebuild(layout, full)
 
 
 def measure(
@@ -391,15 +423,12 @@ def measure(
     # holds the distribution's key, so it is charged for the key bytes too.
     key = ("measure",) + _state_key(state) + (targets, basis)
     size = state.amps.size
-    branch, probs, layout = _memo_call(key, size, _outcome_amplitudes, state, targets, basis)
-    outcome = rng.pick(probs)
-    prob = float(probs[outcome])
-    if prob < ZERO_PROB:
-        raise ZeroProbabilityError(
-            f"outcome {outcome} has probability {prob!r}, below {ZERO_PROB}"
-        )
+    branch, probs, layout = _memo_call(
+        key, 2 * size + basis.dim, _outcome_amplitudes, state, targets, basis
+    )
+    outcome, prob = _pick(rng, probs)
     post = _memo_call(
-        (key, outcome), size, _collapse, state, basis, branch[outcome], prob, outcome, layout
+        (key, outcome), 2 * size, _collapse, basis, branch[outcome], prob, outcome, layout
     )
     return outcome, post, prob
 
@@ -445,23 +474,28 @@ def factor(state: StateVector, labels: Sequence[str]) -> tuple[StateVector, Stat
     phase = lead / abs(lead)
     part = part / phase
     rest = rest * phase
-    part_dims = tuple(state.dims[i] for i in axes)
-    rest_labels = tuple(l for l in state.labels if l not in labels)
-    rest_dims = tuple(state.dims[state.axis(l)] for l in rest_labels)
+    rest_axes = [i for i in range(len(state.dims)) if i not in axes]
     return (
-        StateVector(labels, part_dims, part),
-        StateVector(rest_labels, rest_dims, rest),
+        _engine_state(
+            tuple(state.labels[i] for i in axes), tuple(state.dims[i] for i in axes), part
+        ),
+        _engine_state(
+            tuple(state.labels[i] for i in rest_axes), tuple(state.dims[i] for i in rest_axes),
+            rest,
+        ),
     )
 
 
 def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
     for old in mapping:
         state.axis(old)  # raises LabelError on unknown names
-    new_labels = tuple(mapping.get(l, l) for l in state.labels)
-    return StateVector(new_labels, state.dims, state.amps)
+    # New names enter here, so they are coerced like the constructor's.
+    new_labels = tuple(str(mapping.get(l, l)) for l in state.labels)
+    _check_unique(new_labels)
+    return _engine_state(new_labels, state.dims, state.amps)
 
 
 def relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
     """Rename subsystems; order and amplitudes are untouched."""
     key = ("relabel",) + _state_key(state) + (tuple(mapping.items()),)
-    return _memo_call(key, state.amps.size, _relabel, state, mapping)
+    return _memo_call(key, 2 * state.amps.size, _relabel, state, mapping)

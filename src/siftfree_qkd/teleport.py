@@ -14,7 +14,9 @@ recycle it with the outcome's local Paulis and check it; none skips that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from math import prod
+from typing import Callable, Optional
 
 from .bases import (
     bell_basis, bell_pair, bell_recycle_ops, ghz_basis, ghz_recycle_ops, ghz_state, pauli_matrix,
@@ -22,7 +24,8 @@ from .bases import (
 from .rng import Rng
 from .states import (
     NORM_TOL, DimensionError, MeasurementBasis, StateVector, UnitaryOp,
-    _apply_unitary, _memo_call, _state_key, factor, fidelity, measure, tensor,
+    _apply_unitary, _collapse, _memo_call, _outcome_amplitudes, _pick, _state_key, _tensor,
+    factor, fidelity,
 )
 
 __all__ = ["TeleportOutcome", "teleport", "correction_op", "recycle", "teleport_ghz"]
@@ -61,22 +64,50 @@ def recycle(
     return rest
 
 
+def _swap_distribution(
+    parts: tuple[StateVector, ...], targets: tuple[str, ...], basis: MeasurementBasis
+):
+    """Outcome branches, probabilities and layout of `targets` of tensor(parts)."""
+    return _outcome_amplitudes(_tensor(parts), targets, basis)
+
+
+def _swap_rest(
+    targets: tuple[str, ...], basis: MeasurementBasis, branch_row, prob: float, outcome: int,
+    layout, ops: tuple[UnitaryOp, ...], canonical: Callable[[], StateVector],
+) -> StateVector:
+    """The post state of `outcome`, recycled and checked; what is left of it."""
+    post = _collapse(basis, branch_row, prob, outcome, layout)
+    return recycle(post, targets, ops, canonical())
+
+
 def _swap(
     parts: tuple[StateVector, ...], targets: tuple[str, ...], basis: MeasurementBasis,
-    recycle_ops: tuple[tuple[UnitaryOp, ...], ...], canonical: StateVector, rng: Rng,
+    recycle_ops: tuple[tuple[UnitaryOp, ...], ...], canonical: Callable[[], StateVector],
+    rng: Rng,
 ) -> tuple[int, StateVector, float]:
     """Measure `targets` of tensor(parts) in `basis`; recycle and check them.
 
     Returns (outcome, rest, probability); `rng` picks the outcome as in
-    `measure`, and recycle_ops[outcome] recycles it. The operation memo
-    answers a repeat of the post state and operators, so each is checked
-    once; a failed check stores nothing. The key leaves out `canonical`,
-    which the targets and their dimensions fix.
+    `measure`, and recycle_ops[outcome] recycles it. Two lookups in the
+    operation memo: the parts, targets and basis give the outcome
+    distribution, and that key plus the outcome and its operators give the
+    rest, so each post state is checked once and a failed check stores
+    nothing. Neither entry keeps the joint state or the post state. The
+    keys leave out `canonical`, which the targets and their dimensions fix;
+    it is built only when a rest is computed.
     """
-    outcome, post, prob = measure(tensor(parts), targets, basis, rng)
+    key = ("swap",) + tuple(_state_key(part) for part in parts) + (targets, basis)
+    sizes = [part.amps.size for part in parts]
+    held, joint = sum(sizes), prod(sizes)
+    branch, probs, layout = _memo_call(
+        key, held + joint + basis.dim, _swap_distribution, parts, targets, basis
+    )
+    outcome, prob = _pick(rng, probs)
     ops = recycle_ops[outcome]
-    key = ("swap",) + _state_key(post) + (targets, ops)
-    rest = _memo_call(key, post.amps.size, recycle, post, targets, ops, canonical)
+    rest = _memo_call(
+        (key, outcome, ops), held + joint // basis.dim, _swap_rest,
+        targets, basis, branch[outcome], prob, outcome, layout, ops, canonical,
+    )
     return outcome, rest, prob
 
 
@@ -105,9 +136,9 @@ def teleport(
     if set(input_state.labels) & set(pair.labels):
         raise DimensionError("input label collides with a pair label")
     targets = (carrier, pair.labels[0])
-    canonical = bell_pair(d, targets)
     outcome, receiver, prob = _swap(
-        (input_state, pair), targets, bell_basis(d), bell_recycle_ops(d), canonical, rng
+        (input_state, pair), targets, bell_basis(d), bell_recycle_ops(d),
+        partial(bell_pair, d, targets), rng,
     )
     k, l = divmod(outcome, d)
     return TeleportOutcome(k, l, receiver, prob)
@@ -137,6 +168,6 @@ def teleport_ghz(flying: StateVector, ghz: StateVector, rng: Rng) -> tuple[int, 
         raise DimensionError("flying labels collide with ghz labels")
     targets = flying.labels + ghz.labels[:1]
     outcome, rest, _ = _swap(
-        (flying, ghz), targets, ghz_basis(), ghz_recycle_ops(), ghz_state(targets), rng
+        (flying, ghz), targets, ghz_basis(), ghz_recycle_ops(), partial(ghz_state, targets), rng
     )
     return outcome, rest

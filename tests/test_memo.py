@@ -84,6 +84,15 @@ def test_constructor_repeat_returns_same_frozen_object(build, arrays):
         _assert_read_only(arr)
 
 
+def test_constructor_stats_count_a_warm_repeat_as_a_hit():
+    bell_pair(5, ("P", "Q"))
+    before = bell_pair.stats()
+    bell_pair(5, ("P", "Q"))
+    after = bell_pair.stats()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert after.entries == before.entries
+
+
 def test_constructor_with_unhashable_argument_still_works():
     pair = bell_pair(2, ["A", "B"])
     assert pair.labels == ("A", "B")
@@ -283,13 +292,13 @@ def test_list_and_tuple_targets_share_one_entry():
     ],
     ids=["pair", "triple"],
 )
-def test_warm_swap_makes_four_lookups(swap):
-    """tensor 1, measure 2 (distribution and post state), swap 1; no misses."""
+def test_warm_swap_makes_two_lookups(swap):
+    """The outcome distribution, then the recycled rest of the outcome drawn."""
     swap(FixedOutcome(4))
     before = memo_stats()
     swap(FixedOutcome(4))
     after = memo_stats()
-    assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 @pytest.mark.parametrize(
@@ -318,14 +327,14 @@ def test_measure_memo_stays_within_limit_after_chain_d7(monkeypatch):
     """The one table every op shares stays within its limit, all ops counted.
 
     A fresh table, so the run must fill it by itself: a noisy d=7 chain
-    rarely repeats a state, and 64 rounds over 3 hops outgrow the limit.
+    rarely repeats a state, and 192 rounds over 4 hops outgrow the limit.
     """
     monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
     before = memo_stats()
     cfg = SessionConfig(
-        d=7, m=3, key_length=32, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
+        d=7, m=3, key_length=96, seed=4, abort_threshold=1.0, channel=Depolarizing(0.3)
     )
-    run_chain(cfg, 3)
+    run_chain(cfg, 4)
     after = memo_stats()
     assert after.evictions > before.evictions  # the run did fill the table
     assert after.held <= MEMO_LIMIT

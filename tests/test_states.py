@@ -1,17 +1,22 @@
 """Dense labeled-subsystem engine: construction, evolution, measurement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siftfree_qkd import (
+    Depolarizing,
     DimensionError,
     FactorizationError,
     LabelError,
     MeasurementBasis,
     Rng,
+    SessionConfig,
     StateVector,
+    SubstitutedAttack,
     UnitaryOp,
     ZeroProbabilityError,
     apply_unitary,
@@ -22,9 +27,13 @@ from siftfree_qkd import (
     fidelity,
     measure,
     relabel,
+    run_chain,
+    run_two_party,
     tensor,
 )
-from siftfree_qkd.states import memo_stats
+from siftfree_qkd import states
+from siftfree_qkd.memo import MemoTable
+from siftfree_qkd.states import MEMO_LIMIT, memo_stats
 
 from oracles import FixedOutcome, born_probabilities, complex_normal, fourier_basis
 
@@ -237,3 +246,62 @@ class TestFidelityFactorRelabel:
     def test_relabel_collision(self):
         with pytest.raises(LabelError):
             relabel(bell_pair(2), {"B": "A"})
+
+    def test_relabel_checks_the_names_it_brings_in(self):
+        state = random_state(("A", "B", "C"), (2, 3, 2), 15)
+        with pytest.raises(LabelError, match=r"duplicate subsystem labels in \('A', 'A', 'C'\)"):
+            relabel(state, {"B": "A"})
+        swapped = relabel(state, {"A": "C", "C": "A"})
+        assert swapped.labels == ("C", "B", "A")
+        assert relabel(state, {"B": 7}).labels == ("A", "7", "C")
+
+
+def _engine_built(monkeypatch):
+    """Every state the engine builds from here on, recorded as it is made."""
+    built = []
+    make = states._engine_state
+
+    def record(labels, dims, amps):
+        state = make(labels, dims, amps)
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(states, "_engine_state", record)
+    return built
+
+
+@pytest.mark.parametrize(
+    "run, channel",
+    [
+        (run_two_party, SubstitutedAttack()),
+        (lambda cfg: run_chain(cfg, 2), Depolarizing(0.3)),
+    ],
+    ids=["two_party_substituted", "chain_depolarizing"],
+)
+def test_engine_built_states_pass_the_public_constructor(run, channel, monkeypatch):
+    """States built without the constructor's checks would pass them all.
+
+    Labels are plain strings, dims plain ints, and the public constructor
+    keeps the bytes unchanged. A fresh table makes every op compute; the
+    substituted channel relabels and tensors, the chain swaps and splits.
+    """
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
+    built = _engine_built(monkeypatch)
+    cfg = SessionConfig(d=3, m=2, key_length=6, seed=3, abort_threshold=1.0, channel=channel)
+    run(cfg)
+    assert len(built) > 50
+    for state in built:
+        assert all(type(label) is str for label in state.labels)
+        assert all(type(dim) is int for dim in state.dims)
+        again = StateVector(state.labels, state.dims, state.amps)
+        assert (again.labels, again.dims) == (state.labels, state.dims)
+        assert again.amps.tobytes() == state.amps.tobytes()
+        assert type(state.amps.base) is bytes and not state.amps.flags.writeable
+
+
+def test_engine_built_states_keep_the_norm_check():
+    finite = "amplitudes must be finite (no NaN/Inf)"
+    with pytest.raises(DimensionError, match=re.escape(finite)):
+        states._engine_state(("A",), (2,), np.array([np.nan, 0.0]))
+    with pytest.raises(DimensionError, match="state norm"):
+        states._engine_state(("A",), (2,), np.array([1.0, 1.0]))
