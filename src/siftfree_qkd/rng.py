@@ -11,10 +11,13 @@ counter-based generator of Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3" (SC'11). So `first_draws` computes the first `random()`
 of many streams in one numpy pass, bit for bit what numpy's generator
 returns, and a protocol round takes its one draw without building one.
+`Rng.pick` is `pick_index(cumulative(probs), u)` for its draw u, so a
+caller holding a round's draw and the edges picks what the stream would.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
@@ -23,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Rng", "first_draws", "with_first_draws"]
+__all__ = ["Rng", "first_draws", "with_first_draws", "cumulative", "pick_index"]
 
 # SeedSequence's hash mixer (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -118,6 +121,25 @@ def _philox_first_word(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     return c0
 
 
+def cumulative(probs) -> array:
+    """Running sums of a weight vector: the edges `Rng.pick` bisects.
+
+    Summed in Python floats, the same edges as numpy's cumsum at a fraction
+    of the cost for the few dozen weights of a measurement. Held as a
+    compact array of doubles, since a measurement step keeps its edges.
+    """
+    return array("d", accumulate(np.asarray(probs, dtype=float).tolist()))
+
+
+def pick_index(edges: Sequence[float], u: float) -> int:
+    """The index `Rng.pick` draws from cumulative `edges` when its draw is `u`.
+
+    numpy's searchsorted(side="right") of u times the total, clipped to the
+    last index.
+    """
+    return min(bisect_right(edges, u * edges[-1]), len(edges) - 1)
+
+
 def first_draws(seed: int, paths) -> np.ndarray:
     """The first `random()` of each stream `Rng(seed, path)`, one per row.
 
@@ -210,13 +232,21 @@ class Rng:
     def pick(self, probs) -> int:
         """Sample an index from a (not necessarily normalized) weight vector.
 
-        Running sums in plain floats: the same edges and index as numpy's
-        cumsum and searchsorted(side="right"), at a fraction of the cost
-        for the few dozen weights of a measurement.
+        One `random()`, then `pick_index(cumulative(probs), u)`.
         """
-        edges = list(accumulate(np.asarray(probs, dtype=float).tolist()))
-        u = self.random() * edges[-1]
-        return min(bisect_right(edges, u), len(edges) - 1)
+        return pick_index(cumulative(probs), self.random())
+
+    def child_draws(self) -> np.ndarray | None:
+        """The held first draws of this twin's children, or None if it holds none.
+
+        Shaped by the ranges `with_first_draws` was given: entry [i, j, ...]
+        is what `child(ranges[0][i], ranges[1][j], ...).random()` returns
+        first.
+        """
+        if self._grid is None:
+            return None
+        ranges, draws = self._grid
+        return draws.reshape([len(span) for span in ranges])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, path={self.path})"

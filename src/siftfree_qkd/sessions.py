@@ -26,8 +26,8 @@ line format, so runs are byte-for-byte reproducible from their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,10 +58,10 @@ from .states import (
     UnitaryOp,
     apply_unitary,
     basis_state,
-    measure,
+    measure_rounds,
     tensor,
 )
-from .teleport import correction_op, teleport, teleport_ghz
+from .teleport import correction_op, teleport_ghz_rounds, teleport_rounds
 
 __all__ = [
     "ConfigError",
@@ -154,10 +154,6 @@ def serialize_transcript(messages: Sequence[ClassicalMessage]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _eavesdropped(channel: ChannelModel, d: int) -> bool:
-    return added_dim(channel, d) > 1
-
-
 def _channel_attempts(channel: ChannelModel) -> range:
     """Send attempts whose channel draw a session derives up front.
 
@@ -240,7 +236,9 @@ class KeyResult:
     fraction of mismatches over the comparison set. recycled_pairs counts
     entangled resources restored to canonical form: 2N pairs for the plain
     run, N for the pre-measurement variant, 2N triples for the third-party
-    variant, and hops*2N pair residuals across a chain.
+    variant, and hops*2N pair residuals across a chain. The third-party
+    variant's N key-pair teleports are recycled and checked as well, but
+    recycled_pairs counts only its triples.
     """
 
     aborted: bool
@@ -275,6 +273,13 @@ class _Session:
     Eve's is added when the channel has an eavesdropper. A chain's streams
     are named by hop as well: round r's teleport on hop h is
     `stream(_R_TELEPORT, r, h)`, and each hop's channel has its own parent.
+
+    The sessions run stage by stage, each stage over all its rounds at
+    once. A measuring stage takes `draws`, each round's first draw of its
+    purpose, and groups the rounds by their input objects, so each distinct
+    step is looked up once per stage and a round only bisects its step's
+    edges at its draw. Only the channel stage draws from streams: a noisy
+    channel takes one per send.
     """
 
     def __init__(
@@ -283,7 +288,7 @@ class _Session:
         self.config = config
         self.rng = Rng(config.seed)
         self.d, self.n, self.total = config.d, config.key_length, 2 * config.key_length
-        self.has_eve = _eavesdropped(config.channel, config.d)
+        self.has_eve = added_dim(config.channel, config.d) > 1
         self.fam = mub_family(config.d, config.m)
         self.rotations = self._draw(_R_ROTATIONS, config.m)
         self.secrets = self._draw(_R_SECRETS, config.d)
@@ -306,6 +311,17 @@ class _Session:
         """Per-round stream `path` of `purpose`, one the mode has named."""
         return self._streams[purpose].child(*path)
 
+    def draws(self, purpose: int, rounds: Sequence[int], hop: Optional[int] = None) -> list[float]:
+        """For each round r of `rounds`, the first `random()` of its stream of
+        `purpose` (on `hop` in a chain): `stream(purpose, r[, hop]).random()`."""
+        path = () if hop is None else (hop,)
+        grid = self._streams[purpose].child_draws()
+        if grid is None:  # a path entry too large to batch
+            return [self.stream(purpose, r, *path).random() for r in rounds]
+        if hop is not None:
+            grid = grid[:, hop - 1]
+        return grid[list(rounds)].tolist()
+
     def _draw(self, purpose: int, high: int) -> list[int]:
         return [int(x) for x in self.rng.child(purpose).integers(0, high, size=self.total)]
 
@@ -314,19 +330,13 @@ class _Session:
 
 
 def _transmit(
-    s: _Session,
-    build: Callable[[], StateVector],
-    b_label: str,
-    model: ChannelModel,
-    crng: Rng,
-    slot: int,
-    sender: str,
+    s: _Session, state: StateVector, b_label: str, crng: Rng, slot: int, sender: str,
     receiver: str,
 ) -> ChannelResult:
-    """Send one carrier built by `build`, building it afresh after each loss."""
+    """Send one carrier through the config's channel, again after each loss."""
     attempt = 0
     while True:
-        result = apply_channel(build(), b_label, model, crng.child(slot, attempt))
+        result = apply_channel(state, b_label, s.config.channel, crng.child(slot, attempt))
         if not result.lost:
             return result
         s.say(receiver, sender, "pair_lost", (slot,))
@@ -334,48 +344,99 @@ def _transmit(
         attempt += 1
 
 
-def _send_rotated_pair(s: _Session, r: int) -> ChannelResult:
-    """Round r's canonical pair, its half B rotated and sent to the receiver."""
-    rotation = s.fam.unitaries[s.rotations[r]]
-    build = partial(apply_unitary, bell_pair(s.d, ("A", "B")), rotation, ["B"])
-    return _transmit(s, build, "B", s.config.channel, s.links[0], r, ALICE, BOB)
+def _send(
+    s: _Session, sends: Iterable[tuple[int, StateVector, str, Rng, str, str]]
+) -> tuple[list[StateVector], list[tuple[str, ...]]]:
+    """The channel stage: each (slot, state, label, link streams, sender,
+    receiver) in order; the states that arrived and Eve's registers in each.
 
-
-def _arrivals(sent: Iterable[ChannelResult]) -> tuple[list[StateVector], list[tuple[str, ...]]]:
-    """The states that arrived, and Eve's registers in each, round by round.
-
-    Two flat lists: a long run holds every arrival, and a ChannelResult per
-    round would cost more memory than the states themselves.
+    A channel that draws nothing is the same map for every send, so sends
+    of the same state and label share one `apply_channel`. Two flat lists:
+    a long run holds every arrival, and a ChannelResult per round would
+    cost more memory than the states themselves.
     """
+    noisy = bool(_channel_attempts(s.config.channel))
+    shared: dict[tuple[StateVector, str], ChannelResult] = {}
     states, eve_regs = [], []
-    for result in sent:
+    for slot, state, label, crng, sender, receiver in sends:
+        if noisy:
+            result = _transmit(s, state, label, crng, slot, sender, receiver)
+        else:
+            result = shared.get((state, label))
+            if result is None:
+                result = shared[state, label] = apply_channel(
+                    state, label, s.config.channel, crng.child(slot, 0)
+                )
         states.append(result.state)
         eve_regs.append(result.eve_labels)
     return states, eve_regs
 
 
-def _teleport_secret(s: _Session, r: int, pair: StateVector) -> tuple[StateVector, int]:
-    """Teleport round r's secret through half A of `pair`: (rest, shift l)."""
-    out = teleport(basis_state(s.d, s.secrets[r], "A_in"), pair, s.stream(_R_TELEPORT, r))
-    return out.receiver_state, out.l
+def _apply_each(
+    states: Iterable[StateVector], ops: Iterable[Optional[UnitaryOp]], labels: Iterable[str]
+) -> list[StateVector]:
+    """Each state with its op applied to its label; an op of None leaves it be.
+
+    Rounds with the same state, op and label share one `apply_unitary`.
+    """
+    done: dict[tuple[StateVector, UnitaryOp, str], StateVector] = {}
+    out = []
+    for state, op, label in zip(states, ops, labels):
+        if op is not None:
+            after = done.get((state, op, label))
+            if after is None:
+                after = done[state, op, label] = apply_unitary(state, op, (label,))
+            state = after
+        out.append(state)
+    return out
 
 
-def _read_digit(
+def _send_rotated_pairs(s: _Session) -> tuple[list[StateVector], list[tuple[str, ...]]]:
+    """Each round's canonical pair, its half B rotated and sent to the receiver."""
+    pair = bell_pair(s.d, ("A", "B"))
+    rotated = {
+        i: apply_unitary(pair, s.fam.unitaries[i], ("B",)) for i in dict.fromkeys(s.rotations)
+    }
+    return _send(
+        s, ((r, rotated[i], "B", s.links[0], ALICE, BOB) for r, i in enumerate(s.rotations))
+    )
+
+
+def _teleport_secrets(
+    s: _Session, rounds: Sequence[int], pairs: Iterable[StateVector]
+) -> tuple[list[int], list[StateVector]]:
+    """Teleport each round's secret through half A of its pair: shifts l, rests."""
+    inputs = [basis_state(s.d, value, "A_in") for value in range(s.d)]
+    outcomes, rests = teleport_rounds(
+        (inputs[s.secrets[r]] for r in rounds), pairs, s.draws(_R_TELEPORT, rounds)
+    )
+    return [outcome % s.d for outcome in outcomes], rests
+
+
+def _read(
     s: _Session,
     purpose: int,
-    r: int,
-    state: StateVector,
-    label: str,
+    rounds: Sequence[int],
+    states: Iterable[StateVector],
+    labels: Iterable[str],
     unrotate: bool,
-    shift: int,
-) -> tuple[int, StateVector]:
-    """Undo round r's rotation if asked, read `label` with round r's stream
-    of `purpose`, subtract shift."""
-    if unrotate:
-        state = apply_unitary(state, s.fam.inverses[s.rotations[r]], [label])
-    d = state.dim_of(label)
-    outcome, post, _ = measure(state, [label], computational_basis(d), s.stream(purpose, r))
-    return (outcome - shift) % d, post
+    shifts: Iterable[int],
+    posts: bool = False,
+) -> tuple[list[int], list[StateVector]]:
+    """Each round's digit: undo round r's rotation on its label if asked, read
+    the label with round r's draw of `purpose`, subtract its shift. With
+    `posts`, the post states too."""
+    basis = computational_basis(s.d)
+    inverses = s.fam.inverses
+    outcomes, after = measure_rounds(
+        (
+            (state, inverses[s.rotations[r]] if unrotate else None, (label,), basis)
+            for r, state, label in zip(rounds, states, labels)
+        ),
+        s.draws(purpose, rounds),
+        posts,
+    )
+    return [(outcome - shift) % s.d for outcome, shift in zip(outcomes, shifts)], after
 
 
 def _usable_check_bases(fam: MubFamily) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -439,18 +500,21 @@ def _verify_pairs(
     s.say(ALICE, EVERYONE, "check_positions", checks)
     if rotations_public:
         s.say(ALICE, EVERYONE, "publish_b", s.rotations)
-    alice_outcomes: list[int] = []
-    bob_outcomes: list[int] = []
-    expected: list[int] = []
-    for r, (basis_idx, mapping) in zip(checks, picked):
-        basis = s.fam.bases[basis_idx]
-        a_out, post, _ = measure(pairs[r], ["A"], basis, s.stream(_R_SENDER_MEAS, r))
-        if rotations_public:
-            post = apply_unitary(post, s.fam.inverses[s.rotations[r]], ["B"])
-        b_out, _, _ = measure(post, ["B"], basis, s.stream(_R_RECEIVER, r))
-        alice_outcomes.append(a_out)
-        bob_outcomes.append(b_out)
-        expected.append(mapping[a_out])
+    bases = [s.fam.bases[basis_idx] for basis_idx, _ in picked]
+    alice_outcomes, posts = measure_rounds(
+        ((pairs[r], None, ("A",), basis) for r, basis in zip(checks, bases)),
+        s.draws(_R_SENDER_MEAS, checks),
+    )
+    inverses = s.fam.inverses
+    bob_outcomes, _ = measure_rounds(
+        (
+            (post, inverses[s.rotations[r]] if rotations_public else None, ("B",), basis)
+            for r, post, basis in zip(checks, posts, bases)
+        ),
+        s.draws(_R_RECEIVER, checks),
+        posts=False,
+    )
+    expected = [mapping[a_out] for (_, mapping), a_out in zip(picked, alice_outcomes)]
     s.say(ALICE, EVERYONE, "check_values", [idx for idx, _ in picked] + alice_outcomes)
     s.say(BOB, EVERYONE, "check_values", bob_outcomes)
     return _decide(s, checks, expected, bob_outcomes)
@@ -480,25 +544,10 @@ def _result(
     )
 
 
-def _read_and_compare(
-    s: _Session,
-    arrivals: Iterable[tuple[StateVector, str, int]],
-    eve_digit: Optional[Callable[[int, StateVector], int]],
-    recycled: int,
+def _compare(
+    s: _Session, bob_digits: list[int], eve_digits: Optional[list[int]], recycled: int
 ) -> KeyResult:
-    """Receiver pass, Eve's pass, then the public final-digit comparison.
-
-    The receiver reads each round's (state, carrier, shift); Eve, if any,
-    then reads the receiver's post-states. Separate passes keep each pass's
-    repeated states together, which the measurement memo serves best.
-    """
-    bob_digits: list[int] = []
-    posts: list[StateVector] = []
-    for r, (state, label, shift) in enumerate(arrivals):
-        digit, post = _read_digit(s, _R_RECEIVER, r, state, label, True, shift)
-        bob_digits.append(digit)
-        posts.append(post)
-    eve_digits = None if eve_digit is None else [eve_digit(r, p) for r, p in enumerate(posts)]
+    """The public final-digit comparison over N random rounds."""
     checks = _draw_check_positions(s)
     s.say(ALICE, EVERYONE, "check_positions", checks)
     alice_checks = [s.secrets[r] for r in checks]
@@ -527,24 +576,30 @@ def _verify_then_key(
     """
     verdict = _verify_pairs(s, pairs, rotations_public=from_sender)
     survivors = _key_slots(s, verdict)
+    key_pairs = [pairs[r] for r in survivors]
+    if not from_sender:
+        transposes = s.fam.transposes
+        key_pairs = _apply_each(
+            key_pairs, (transposes[s.rotations[r]] for r in survivors), repeat("A")
+        )
+    shifts, states = _teleport_secrets(s, survivors, key_pairs)
+    read, posts = _read(s, _R_RECEIVER, survivors, states, repeat("B"), True, shifts, s.has_eve)
     alice = [-1] * s.total
     bob = [-1] * s.total
-    eve = [-1] * s.total if s.has_eve else None
-    shifts: list[int] = []
-    for r in survivors:
-        pair = pairs[r]
-        if not from_sender:
-            pair = apply_unitary(pair, s.fam.transposes[s.rotations[r]], ["A"])
-        state, l = _teleport_secret(s, r, pair)
-        shifts.append(l)
-        alice[r] = s.secrets[r]
-        bob[r], post = _read_digit(s, _R_RECEIVER, r, state, "B", True, l)
-        if eve is not None:
-            reg = eve_regs[r][0]
-            if eve_masks and eve_masks[r]:
-                post = apply_unitary(post, mub_family(2, 2).unitaries[1], [reg])
-            unrotate = _eve_unrotates(s.config.channel)
-            eve[r], _ = _read_digit(s, _R_EVE, r, post, reg, unrotate, l)
+    for r, digit in zip(survivors, read):
+        alice[r], bob[r] = s.secrets[r], digit
+    eve = None
+    if s.has_eve:
+        regs = [eve_regs[r][0] for r in survivors]
+        if eve_masks:
+            hadamard = mub_family(2, 2).unitaries[1]
+            masks = (hadamard if eve_masks[r] else None for r in survivors)
+            posts = _apply_each(posts, masks, regs)
+        unrotate = _eve_unrotates(s.config.channel)
+        read, _ = _read(s, _R_EVE, survivors, posts, regs, unrotate, shifts)
+        eve = [-1] * s.total
+        for r, digit in zip(survivors, read):
+            eve[r] = digit
     if survivors:
         s.say(ALICE, EVERYONE, "publish_l", shifts)
         if not from_sender:
@@ -564,21 +619,18 @@ def run_two_party(config: SessionConfig) -> KeyResult:
     positions are compared in public and the rest become the key.
     """
     s = _Session(config, (_R_TELEPORT, _R_RECEIVER))
-    received: list[tuple[StateVector, int, tuple[str, ...]]] = []
-    for r in range(s.total):
-        sent = _send_rotated_pair(s, r)
-        state, l = _teleport_secret(s, r, sent.state)
-        received.append((state, l, sent.eve_labels))
+    rounds = range(s.total)
+    sent, eve_regs = _send_rotated_pairs(s)
+    shifts, states = _teleport_secrets(s, rounds, sent)
     s.say(BOB, ALICE, "ack_received")
-    s.say(ALICE, EVERYONE, "publish_l", [l for _, l, _ in received])
+    s.say(ALICE, EVERYONE, "publish_l", shifts)
     s.say(ALICE, EVERYONE, "publish_b", s.rotations)
-
-    def eve_digit(r: int, post: StateVector) -> int:
-        _, l, regs = received[r]
-        return _read_digit(s, _R_EVE, r, post, regs[0], _eve_unrotates(config.channel), l)[0]
-
-    arrivals = ((state, "B", l) for state, l, _ in received)
-    return _read_and_compare(s, arrivals, eve_digit if s.has_eve else None, s.total)
+    bob, posts = _read(s, _R_RECEIVER, rounds, states, repeat("B"), True, shifts, s.has_eve)
+    eve = None
+    if s.has_eve:
+        regs = (labels[0] for labels in eve_regs)
+        eve = _read(s, _R_EVE, rounds, posts, regs, _eve_unrotates(config.channel), shifts)[0]
+    return _compare(s, bob, eve, s.total)
 
 
 def run_pre_check(config: SessionConfig) -> KeyResult:
@@ -592,7 +644,7 @@ def run_pre_check(config: SessionConfig) -> KeyResult:
     further digit comparison. Only those N pairs are recycled.
     """
     s = _Session(config, (_R_TELEPORT, _R_RECEIVER, _R_SENDER_MEAS))
-    states, eve_regs = _arrivals(_send_rotated_pair(s, r) for r in range(s.total))
+    states, eve_regs = _send_rotated_pairs(s)
     s.say(BOB, ALICE, "ack_received")
     return _verify_then_key(s, states, eve_regs, from_sender=True)
 
@@ -617,24 +669,20 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     if config.d != 2:
         raise ConfigError("third-party distribution is defined for d = 2 only")
     s = _Session(config, (_R_TELEPORT, _R_RECEIVER, _R_SENDER_MEAS, _R_TRIPLE))
+    rounds = range(s.total)
     hadamard = mub_family(2, 2).unitaries[1]
     mask_rng = s.rng.child(_R_MASKS)
     masks_a = [int(x) for x in mask_rng.integers(0, 2, size=s.total)] if trusted else [0] * s.total
     masks_b = [int(x) for x in mask_rng.integers(0, 2, size=s.total)] if trusted else [0] * s.total
 
-    def masked(state: StateVector, r: int) -> StateVector:
-        if masks_a[r]:
-            state = apply_unitary(state, hadamard, ["A"])
-        if masks_b[r]:
-            state = apply_unitary(state, hadamard, ["B"])
-        return state
+    def masked(states: Iterable[StateVector]) -> list[StateVector]:
+        """Each round's state with its masks applied (Hadamards undo themselves)."""
+        states = _apply_each(states, (hadamard if a else None for a in masks_a), repeat("A"))
+        return _apply_each(states, (hadamard if b else None for b in masks_b), repeat("B"))
 
-    states, eve_regs = _arrivals(
-        _transmit(
-            s, partial(masked, ghz_state(("C", "A", "B")), r), "B",
-            config.channel, s.links[0], r, CHARLIE, BOB,
-        )
-        for r in range(s.total)
+    triples = masked(repeat(ghz_state(("C", "A", "B")), s.total))
+    states, eve_regs = _send(
+        s, ((r, triple, "B", s.links[0], CHARLIE, BOB) for r, triple in enumerate(triples))
     )
     s.say(ALICE, CHARLIE, "ack_received")
     s.say(BOB, CHARLIE, "ack_received")
@@ -645,12 +693,10 @@ def run_third_party(config: SessionConfig, trusted: bool = False) -> KeyResult:
     # The middleman's measurement leaves the end parties a pair of known
     # sign class; the sender flips the minus class to the plus class.
     flying = tensor([apply_unitary(basis_state(2, 0, c), hadamard, [c]) for c in ("C1", "C2")])
-    signs: list[int] = []
-    pairs: list[StateVector] = []
-    for r, state in enumerate(states):
-        outcome, pair = teleport_ghz(flying, masked(state, r), s.stream(_R_TRIPLE, r))
-        signs.append(0 if outcome in (0, 1, 4, 5) else 1)
-        pairs.append(apply_unitary(pair, pauli_matrix(2, 1, 0), ["A"]) if signs[-1] else pair)
+    outcomes, pairs = teleport_ghz_rounds(flying, masked(states), s.draws(_R_TRIPLE, rounds))
+    signs = [0 if outcome in (0, 1, 4, 5) else 1 for outcome in outcomes]
+    flip = pauli_matrix(2, 1, 0)
+    pairs = _apply_each(pairs, (flip if sign else None for sign in signs), repeat("A"))
     s.say(CHARLIE, EVERYONE, "publish_k", signs)
     # A substituted carrier was stolen before its Hadamard mask came off.
     stolen_masked = trusted and _eve_unrotates(config.channel)
@@ -679,59 +725,61 @@ def run_chain(config: SessionConfig, hops: int) -> KeyResult:
     # hop has added so far.
     _check_teleport_size(d, added_dim(channel, d) ** hops, channel.kind)
     s = _Session(config, (_R_TELEPORT, _R_RECEIVER), hops)
+    rounds = range(s.total)
     parties = [ALICE] + [f"e{i}" for i in range(1, hops)] + [BOB]
-    # Per hop: its pair's builder, the far label, its channel streams, and
-    # the parties at either end.
+    # Per hop: its pair, the far label, its channel streams, and the parties
+    # at either end.
     links = [
-        (
-            partial(bell_pair, d, (f"L{h}a", f"L{h}b")), f"L{h}b",
-            s.links[h - 1], parties[h - 1], parties[h],
-        )
+        (bell_pair(d, (f"L{h}a", f"L{h}b")), f"L{h}b", s.links[h - 1], parties[h - 1], parties[h])
         for h in range(1, hops + 1)
     ]
+    # Every link carries its pair before any teleport, round by round and
+    # hop by hop within a round; sent[r * hops + h - 1] is round r's hop h.
+    sent, eve_regs = _send(s, ((r, *link) for r in rounds for link in links))
+
+    inputs = [basis_state(d, value, "W") for value in range(d)]
+    states = _apply_each(
+        (inputs[value] for value in s.secrets),
+        (s.fam.unitaries[i] for i in s.rotations),
+        repeat("W"),
+    )
+    carrier = "W"
+    # byproducts[h - 1][r]: hop h's outcome (k, l) in round r.
     byproducts: list[list[tuple[int, int]]] = []
-    # Per round: the carried state, its carrier label, and Eve's registers
-    # from hop 1, the one she decodes from.
-    arrived: list[tuple[StateVector, str, tuple[str, ...]]] = []
-    for r in range(s.total):
-        state = apply_unitary(
-            basis_state(d, s.secrets[r], "W"), s.fam.unitaries[s.rotations[r]], ["W"]
+    for h, (_, far, _, _, _) in enumerate(links, 1):
+        outcomes, states = teleport_rounds(
+            states, sent[h - 1 :: hops], s.draws(_R_TELEPORT, rounds, h), carrier=carrier
         )
-        carrier = "W"
-        outcomes: list[tuple[int, int]] = []
-        for h, (build, far, link, sender, receiver) in enumerate(links, 1):
-            sent = _transmit(s, build, far, channel, link, r, sender, receiver)
-            if h == 1:
-                eve_regs = sent.eve_labels
-            out = teleport(state, sent.state, s.stream(_R_TELEPORT, r, h), carrier=carrier)
-            outcomes.append((out.k, out.l))
-            state, carrier = out.receiver_state, far
-        byproducts.append(outcomes)
-        arrived.append((state, carrier, eve_regs))
+        byproducts.append([divmod(outcome, d) for outcome in outcomes])
+        carrier = far
+    del sent
 
     for h in range(1, hops + 1):
         s.say(parties[h], parties[h - 1], "ack_received", (h,))
-    for i in range(hops):
-        s.say(parties[i], EVERYONE, "publish_k", [hop[i][0] for hop in byproducts])
-        s.say(parties[i], EVERYONE, "publish_l", [hop[i][1] for hop in byproducts])
+    for i, hop in enumerate(byproducts):
+        s.say(parties[i], EVERYONE, "publish_k", [k for k, _ in hop])
+        s.say(parties[i], EVERYONE, "publish_l", [l for _, l in hop])
     s.say(ALICE, EVERYONE, "publish_b", s.rotations)
 
-    def frame(r: int, upto: int) -> tuple[UnitaryOp, int]:
-        """The correction for round r's first `upto` hops, and their summed l."""
-        k_sum = sum(k for k, _ in byproducts[r][:upto]) % d
-        l_sum = sum(l for _, l in byproducts[r][:upto]) % d
-        return correction_op(d, k_sum, l_sum), l_sum
+    def frames(upto: int) -> tuple[list[UnitaryOp], list[int]]:
+        """Each round's correction for its first `upto` hops, and their summed l."""
+        ops, shifts = [], []
+        for outcomes in zip(*byproducts[:upto]):
+            k_sum = sum(k for k, _ in outcomes) % d
+            l_sum = sum(l for _, l in outcomes) % d
+            ops.append(correction_op(d, k_sum, l_sum))
+            shifts.append(l_sum)
+        return ops, shifts
 
-    def eve_digit(r: int, post: StateVector) -> int:
-        reg = arrived[r][2][0]
+    fixed = _apply_each(states, frames(hops)[0], repeat(carrier))
+    bob, posts = _read(s, _R_RECEIVER, rounds, fixed, repeat(carrier), True, repeat(0), s.has_eve)
+    eve = None
+    if s.has_eve:
+        # Eve decodes from her register of hop 1.
+        regs = [labels[0] for labels in eve_regs[::hops]]
         unrotate = _eve_unrotates(channel)
-        fix, shift = frame(r, 1)
+        fixes, shifts = frames(1)
         if unrotate:
-            post, shift = apply_unitary(post, fix, [reg]), 0
-        return _read_digit(s, _R_EVE, r, post, reg, unrotate, shift)[0]
-
-    arrivals = (
-        (apply_unitary(state, frame(r, hops)[0], [carrier]), carrier, 0)
-        for r, (state, carrier, _) in enumerate(arrived)
-    )
-    return _read_and_compare(s, arrivals, eve_digit if s.has_eve else None, s.total * hops)
+            posts, shifts = _apply_each(posts, fixes, regs), repeat(0)
+        eve = _read(s, _R_EVE, rounds, posts, regs, unrotate, shifts)[0]
+    return _compare(s, bob, eve, s.total * hops)

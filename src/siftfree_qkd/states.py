@@ -21,6 +21,13 @@ stored result is the one a fresh computation returns, bit for bit:
 the random stream sees the same floats and picks the same outcome. Failed
 calls are never stored. `memo_stats` reports how the table did.
 
+A measurement is two lookups: its step (the outcome distribution and its
+cumulative edges), then the post state of the outcome drawn. `measure`
+draws with `rng.pick`. `measure_rounds` measures a whole protocol stage:
+it groups the rounds by their input objects, looks each group's step up
+once, and per round only bisects the step's edges at that round's draw,
+the same index `rng.pick` returns for that draw.
+
 The public `StateVector` constructor checks everything. States the engine
 computes from checked states skip what the engine guarantees (label and
 dimension types, sizes, the cap) and keep the norm and finiteness check.
@@ -30,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, prod
-from typing import Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .memo import MemoStats, MemoTable, memoized
-from .rng import Rng
+from .rng import Rng, cumulative, pick_index
 
 __all__ = [
     "NORM_TOL",
@@ -52,6 +59,7 @@ __all__ = [
     "tensor",
     "apply_unitary",
     "measure",
+    "measure_rounds",
     "memo_stats",
     "MEMO_LIMIT",
     "fidelity",
@@ -78,12 +86,11 @@ MAX_AMPLITUDES = 2**16
 # state), and LRU over a cyclic working set larger than the table hits
 # almost nothing. So the limit must hold a whole session's set. Measured
 # with memo_stats() after repeated experiments, the sets stop growing at:
-# two_party d=3 substituted N=256, 750 entries / 93,798 units; third_party
-# trusted d=2 purified N=256, 2,017 / 152,654 units; pre_check d=2 loss,
-# 100 / 7,124 units. At 2**16 the first two missed ~6,000 lookups per
-# experiment. Noisy multi-hop runs at d=7 never settle and hit only a few
-# percent at any limit; for them a full table only costs memory (~2.2 MB of
-# amplitudes held at this limit).
+# two_party d=3 substituted N=256, 413 entries / 54,032 units; third_party
+# trusted d=2 purified N=256, 1,331 / 102,680 units; pre_check d=2 loss,
+# 56 / 4,068 units. Noisy multi-hop runs at d=7 never settle and hit only a
+# few percent at any limit; for them a full table only costs memory (~2.2 MB
+# of amplitudes held at this limit).
 MEMO_LIMIT = 2**18
 MEMO_ENTRY_COST = 64
 
@@ -265,9 +272,30 @@ def _memo_call(key: tuple, size: int, compute, *args):
     return value
 
 
-def _pick(rng: Rng, probs: np.ndarray) -> tuple[int, float]:
-    """`rng.pick(probs)` and its probability; ZeroProbabilityError below ZERO_PROB."""
-    outcome = rng.pick(probs)
+class _Step(NamedTuple):
+    """One memoized outcome distribution, and what its outcomes need.
+
+    key: the step's memo key; an outcome's entry is keyed on it.
+    branch: row w is the unnormalized rest of outcome w.
+    probs: the Born probabilities the engine computed.
+    layout: how `_rebuild` puts a collapsed row back into a state.
+    edges: `cumulative(probs)`, the edges every draw bisects.
+    """
+
+    key: tuple
+    branch: np.ndarray
+    probs: np.ndarray
+    layout: tuple
+    edges: Sequence[float]
+
+
+def _step(key: tuple, state: StateVector, targets: tuple[str, ...], basis) -> _Step:
+    branch, probs, layout = _outcome_amplitudes(state, targets, basis)
+    return _Step(key, branch, probs, layout, cumulative(probs))
+
+
+def _checked(probs: np.ndarray, outcome: int) -> tuple[int, float]:
+    """The outcome and its probability; ZeroProbabilityError below ZERO_PROB."""
     prob = float(probs[outcome])
     if prob < ZERO_PROB:
         raise ZeroProbabilityError(
@@ -276,14 +304,26 @@ def _pick(rng: Rng, probs: np.ndarray) -> tuple[int, float]:
     return outcome, prob
 
 
+def _pick(rng: Rng, step: _Step) -> tuple[int, float]:
+    """`rng.pick` on the step's probabilities, and the probability picked."""
+    return _checked(step.probs, rng.pick(step.probs))
+
+
+def _pick_at(step: _Step, u: float) -> tuple[int, float]:
+    """What `_pick` returns when the picker's draw is `u`, from the step's edges."""
+    return _checked(step.probs, pick_index(step.edges, u))
+
+
 def memo_stats() -> MemoStats:
     """Counters of the operation memo since the process started.
 
     Every call of `tensor`, `apply_unitary` and `relabel` makes one lookup.
-    A measurement makes two, one for the outcome distribution and one for
-    the post-state of the outcome drawn; `teleport`'s swap step makes two
-    the same way, the second for the recycled rest. `held` is in the units
-    of MEMO_LIMIT and never exceeds it.
+    A measurement makes two, one for its step and one for the post state of
+    the outcome drawn; `teleport`'s swap step makes two the same way, the
+    second for the recycled rest. A stage (`measure_rounds` and the teleport
+    stages) makes one step lookup per group of rounds with the same input
+    objects, and one outcome lookup per distinct outcome a group draws.
+    `held` is in the units of MEMO_LIMIT and never exceeds it.
     """
     return _memo.stats()
 
@@ -403,6 +443,42 @@ def _collapse(
     return _rebuild(layout, full)
 
 
+def _measure_distribution(
+    key: tuple, state: StateVector, targets: tuple[str, ...], basis: MeasurementBasis,
+    op: Optional[UnitaryOp],
+) -> _Step:
+    if op is not None:
+        state = _apply_unitary(state, op, targets)
+    return _step(key, state, targets, basis)
+
+
+def _measure_step(
+    state: StateVector, targets: tuple[str, ...], basis: MeasurementBasis,
+    op: Optional[UnitaryOp] = None,
+) -> _Step:
+    """The step of measuring `targets` in `basis`, after `op` on them if given.
+
+    One entry for the rotation and the distribution: the rotated state is
+    computed on a miss and not kept. Bases and operators, like in
+    `apply_unitary`, are held by the key.
+    """
+    key = ("measure",) + _state_key(state) + (targets, basis)
+    if op is not None:
+        key += (op,)
+    # Each post-state entry holds this key, so it is charged the key bytes too.
+    return _memo_call(
+        key, 2 * state.amps.size + basis.dim, _measure_distribution, key, state, targets, basis, op
+    )
+
+
+def _post(step: _Step, basis: MeasurementBasis, outcome: int, prob: float) -> StateVector:
+    """The post state of `outcome` of a measurement step."""
+    return _memo_call(
+        (step.key, outcome), 2 * step.branch.size, _collapse,
+        basis, step.branch[outcome], prob, outcome, step.layout,
+    )
+
+
 def measure(
     state: StateVector,
     targets: Sequence[str],
@@ -418,19 +494,45 @@ def measure(
     outcome with a picker that returns it. A pick of probability below
     ZERO_PROB raises ZeroProbabilityError and stores no post state.
     """
-    targets = tuple(targets)
-    # Bases, like operators, are held by the key. Each post-state entry
-    # holds the distribution's key, so it is charged for the key bytes too.
-    key = ("measure",) + _state_key(state) + (targets, basis)
-    size = state.amps.size
-    branch, probs, layout = _memo_call(
-        key, 2 * size + basis.dim, _outcome_amplitudes, state, targets, basis
-    )
-    outcome, prob = _pick(rng, probs)
-    post = _memo_call(
-        (key, outcome), 2 * size, _collapse, basis, branch[outcome], prob, outcome, layout
-    )
-    return outcome, post, prob
+    step = _measure_step(state, tuple(targets), basis)
+    outcome, prob = _pick(rng, step)
+    return outcome, _post(step, basis, outcome, prob), prob
+
+
+def measure_rounds(
+    rounds: Iterable[tuple[StateVector, Optional[UnitaryOp], Sequence[str], MeasurementBasis]],
+    draws: Iterable[float],
+    posts: bool = True,
+) -> tuple[list[int], list[StateVector]]:
+    """One measurement per round: `op` on the targets if given, then `measure`.
+
+    Each round is (state, op or None, targets, basis), and draws[i] is the
+    first `random()` of round i's stream: the outcome is the one `measure`
+    picks with that stream, and the post state the one it returns, so
+    `apply_unitary` then `measure` gives the same floats. Rounds with the
+    same input objects share one step lookup and one post lookup per
+    outcome. Returns the outcomes and, if `posts`, the post states (an
+    empty list otherwise).
+    """
+    groups: dict = {}
+    outcomes: list[int] = []
+    out: list[StateVector] = []
+    for (state, op, targets, basis), u in zip(rounds, draws):
+        targets = tuple(targets)
+        group = groups.get((state, op, targets, basis))
+        if group is None:
+            group = groups[state, op, targets, basis] = (
+                _measure_step(state, targets, basis, op), {}
+            )
+        step, seen = group
+        outcome, prob = _pick_at(step, u)
+        outcomes.append(outcome)
+        if posts:
+            post = seen.get(outcome)
+            if post is None:
+                post = seen[outcome] = _post(step, basis, outcome, prob)
+            out.append(post)
+    return outcomes, out
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -49,7 +49,7 @@ from siftfree_qkd.states import (
 )
 
 from oracles import FixedOutcome, fourier_basis
-from test_golden import GOLDEN, _digest, _key
+from test_golden import GOLDEN, _configs, _digest, _key
 from test_states import random_state
 
 
@@ -388,6 +388,14 @@ def test_thrashing_memo_leaves_golden_digests_unchanged(config, monkeypatch):
     stats = memo_stats()
     assert stats.evictions > stats.misses // 2
     assert stats.held <= 256
+
+
+@pytest.mark.parametrize("config", list(_configs()), ids=lambda c: _key(*c))
+def test_every_golden_config_holds_on_a_thrashing_memo(config, monkeypatch):
+    """Stages hold the steps they looked up; evicting them changes nothing."""
+    monkeypatch.setattr(states, "_memo", MemoTable(256))
+    assert _digest(*config) == GOLDEN[_key(*config)]
+    assert memo_stats().held <= 256
 
 
 _WARM_UP = [
