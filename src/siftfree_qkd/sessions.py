@@ -211,9 +211,11 @@ class SessionConfig:
     channel: ChannelModel = field(default_factory=Ideal)
 
     def __post_init__(self):
+        # The size cap first: it admits d <= 40 at most, so the trial
+        # division below stays instant for any d.
+        _check_teleport_size(self.d, added_dim(self.channel, self.d), self.channel.kind)
         if not is_prime(self.d):
             raise ConfigError(f"d = {self.d} must be prime")
-        _check_teleport_size(self.d, added_dim(self.channel, self.d), self.channel.kind)
         limit = 3 if self.d == 2 else self.d + 1
         if not 2 <= self.m <= limit:
             raise ConfigError(f"m = {self.m} outside 2..{limit} for d = {self.d}")

@@ -21,12 +21,15 @@ stored result is the one a fresh computation returns, bit for bit:
 the random stream sees the same floats and picks the same outcome. Failed
 calls are never stored. `memo_stats` reports how the table did.
 
-A measurement is two lookups: its step (the outcome distribution and its
-cumulative edges), then the post state of the outcome drawn. `measure`
-draws with `rng.pick`. `measure_rounds` measures a whole protocol stage:
-it groups the rounds by their input objects, looks each group's step up
-once, and per round only bisects the step's edges at that round's draw,
-the same index `rng.pick` returns for that draw.
+A measurement and an entanglement swap are one step group, `_Group`: one
+lookup for its step (the outcome distribution and its cumulative edges),
+then one per outcome drawn for its result. A measurement's result is the
+post state; a swap's is what `teleport.recycle` leaves once it has split,
+recycled and checked the measured group. `measure`, `teleport` and
+`teleport_ghz` are one group and one `rng.pick`. A protocol stage
+(`measure_rounds` and the teleport stages) is one loop, `_stage`: rounds
+with the same input objects share a group, and a round only bisects its
+group's edges at its draw, the same index `rng.pick` returns for that draw.
 
 The public `StateVector` constructor checks everything. States the engine
 computes from checked states skip what the engine guarantees (label and
@@ -272,57 +275,15 @@ def _memo_call(key: tuple, size: int, compute, *args):
     return value
 
 
-class _Step(NamedTuple):
-    """One memoized outcome distribution, and what its outcomes need.
-
-    key: the step's memo key; an outcome's entry is keyed on it.
-    branch: row w is the unnormalized rest of outcome w.
-    probs: the Born probabilities the engine computed.
-    layout: how `_rebuild` puts a collapsed row back into a state.
-    edges: `cumulative(probs)`, the edges every draw bisects.
-    """
-
-    key: tuple
-    branch: np.ndarray
-    probs: np.ndarray
-    layout: tuple
-    edges: Sequence[float]
-
-
-def _step(key: tuple, state: StateVector, targets: tuple[str, ...], basis) -> _Step:
-    branch, probs, layout = _outcome_amplitudes(state, targets, basis)
-    return _Step(key, branch, probs, layout, cumulative(probs))
-
-
-def _checked(probs: np.ndarray, outcome: int) -> tuple[int, float]:
-    """The outcome and its probability; ZeroProbabilityError below ZERO_PROB."""
-    prob = float(probs[outcome])
-    if prob < ZERO_PROB:
-        raise ZeroProbabilityError(
-            f"outcome {outcome} has probability {prob!r}, below {ZERO_PROB}"
-        )
-    return outcome, prob
-
-
-def _pick(rng: Rng, step: _Step) -> tuple[int, float]:
-    """`rng.pick` on the step's probabilities, and the probability picked."""
-    return _checked(step.probs, rng.pick(step.probs))
-
-
-def _pick_at(step: _Step, u: float) -> tuple[int, float]:
-    """What `_pick` returns when the picker's draw is `u`, from the step's edges."""
-    return _checked(step.probs, pick_index(step.edges, u))
-
-
 def memo_stats() -> MemoStats:
     """Counters of the operation memo since the process started.
 
     Every call of `tensor`, `apply_unitary` and `relabel` makes one lookup.
-    A measurement makes two, one for its step and one for the post state of
-    the outcome drawn; `teleport`'s swap step makes two the same way, the
-    second for the recycled rest. A stage (`measure_rounds` and the teleport
-    stages) makes one step lookup per group of rounds with the same input
-    objects, and one outcome lookup per distinct outcome a group draws.
+    A step group (a measurement, or `teleport`'s swap) makes one for its
+    step and one per distinct outcome drawn from it, for the post state or
+    the recycled rest. `measure` and a teleport are one group and one draw,
+    so two lookups; a stage makes one group per set of rounds with the same
+    input objects.
     `held` is in the units of MEMO_LIMIT and never exceeds it.
     """
     return _memo.stats()
@@ -424,59 +385,158 @@ def apply_unitary(state: StateVector, op: UnitaryOp, targets: Sequence[str]) -> 
     return _memo_call(key, 2 * state.amps.size, _apply_unitary, state, op, targets)
 
 
-def _outcome_amplitudes(state: StateVector, targets: Sequence[str], basis: MeasurementBasis):
-    mat, _, layout = _target_matrix(state, targets)
-    if mat.shape[0] != basis.dim:
-        raise DimensionError(
-            f"basis dim {basis.dim} != target group dim {mat.shape[0]}"
-        )
-    branch = basis.vectors.conj() @ mat  # row w: unnormalized rest-state for outcome w
-    probs = np.einsum("wr,wr->w", branch, branch.conj()).real
-    return branch, probs, layout
+class _Step(NamedTuple):
+    """A group's first lookup: the outcome distribution of one measurement.
+
+    key: its memo key, on which each outcome's key builds.
+    branch: row w is the unnormalized rest of outcome w.
+    probs: the Born probabilities the engine computed.
+    layout: how `_rebuild` puts a collapsed row back into a state.
+    edges: `cumulative(probs)`, the edges every draw bisects.
+    """
+
+    key: tuple
+    branch: np.ndarray
+    probs: np.ndarray
+    layout: tuple
+    edges: Sequence[float]
 
 
-def _collapse(
-    basis: MeasurementBasis, branch_row: np.ndarray, prob: float, outcome: int, layout
-) -> StateVector:
-    rest = branch_row / np.sqrt(prob)
-    full = np.multiply.outer(basis.vectors[outcome], rest)
-    return _rebuild(layout, full)
+def _step(key: tuple, parts: tuple, targets: tuple, basis: MeasurementBasis, op) -> _Step:
+    """Measure `targets` of tensor(parts) in `basis`, after `op` on them if given.
 
-
-def _measure_distribution(
-    key: tuple, state: StateVector, targets: tuple[str, ...], basis: MeasurementBasis,
-    op: Optional[UnitaryOp],
-) -> _Step:
+    Computed on a miss; neither the joint nor the rotated state is kept.
+    """
+    state = parts[0] if len(parts) == 1 else _tensor(parts)
     if op is not None:
         state = _apply_unitary(state, op, targets)
-    return _step(key, state, targets, basis)
+    mat, _, layout = _target_matrix(state, targets)
+    if mat.shape[0] != basis.dim:
+        raise DimensionError(f"basis dim {basis.dim} != target group dim {mat.shape[0]}")
+    branch = basis.vectors.conj() @ mat  # row w: unnormalized rest-state for outcome w
+    probs = np.einsum("wr,wr->w", branch, branch.conj()).real
+    return _Step(key, branch, probs, layout, cumulative(probs))
 
 
-def _measure_step(
-    state: StateVector, targets: tuple[str, ...], basis: MeasurementBasis,
-    op: Optional[UnitaryOp] = None,
-) -> _Step:
-    """The step of measuring `targets` in `basis`, after `op` on them if given.
+def _collapse(step: _Step, basis: MeasurementBasis, outcome: int, prob: float) -> StateVector:
+    """The post state of `outcome`: the targets on its vector, the rest renormalized."""
+    rest = step.branch[outcome] / np.sqrt(prob)
+    return _rebuild(step.layout, np.multiply.outer(basis.vectors[outcome], rest))
 
-    One entry for the rotation and the distribution: the rotated state is
-    computed on a miss and not kept. Bases and operators, like in
-    `apply_unitary`, are held by the key.
+
+class _Group:
+    """A step of the operation memo, and the result of each outcome drawn from it.
+
+    Two lookups. The step's key holds the input states' labels, dimensions
+    and amplitude bytes, the targets, the basis and any operator. An
+    outcome's key adds the outcome, and its result is looked up once per
+    group, then kept in `results`. Each entry is charged for the input
+    amplitudes its key holds plus the amplitudes it stores.
+
+    A measurement's result is its post state. A swap's `finish` is
+    (recycle, recycle_ops, canonical), and its result is what
+    recycle(post, targets, ops, canonical()) leaves once it has split the
+    measured group off, recycled it with ops = recycle_ops[outcome] and
+    checked it. The ops join the outcome's key; `canonical`, which the
+    targets and their dimensions fix, is built only on a miss.
+    """
+
+    __slots__ = ("step", "edges", "results", "held", "targets", "basis", "finish")
+
+    def __init__(self, key: tuple, parts: tuple, targets: tuple, basis, op=None, finish=None):
+        sizes = [part.amps.size for part in parts]
+        self.held = sum(sizes)
+        self.step = _memo_call(
+            key, self.held + prod(sizes) + basis.dim, _step, key, parts, targets, basis, op
+        )
+        self.edges, self.results = self.step.edges, {}
+        self.targets, self.basis, self.finish = targets, basis, finish
+
+    def check(self, outcome: int) -> float:
+        """The outcome's probability; ZeroProbabilityError below ZERO_PROB."""
+        prob = float(self.step.probs[outcome])
+        if prob < ZERO_PROB:
+            raise ZeroProbabilityError(
+                f"outcome {outcome} has probability {prob!r}, below {ZERO_PROB}"
+            )
+        return prob
+
+    def result(self, outcome: int) -> tuple[StateVector, float]:
+        """The outcome's result and probability, checked before any lookup."""
+        prob = self.check(outcome)
+        result = self.results.get(outcome)
+        if result is None:
+            step, held = self.step, self.held
+            if self.finish is None:
+                result = _memo_call(
+                    (step.key, outcome), held + step.branch.size,
+                    _collapse, step, self.basis, outcome, prob,
+                )
+            else:
+                ops = self.finish[1][outcome]
+                result = _memo_call(
+                    (step.key, outcome, ops), held + step.branch.size // self.basis.dim,
+                    self._rest, outcome, prob, ops,
+                )
+            self.results[outcome] = result
+        return result, prob
+
+    def _rest(self, outcome: int, prob: float, ops) -> StateVector:
+        recycle, _, canonical = self.finish
+        post = _collapse(self.step, self.basis, outcome, prob)
+        return recycle(post, self.targets, ops, canonical())
+
+
+def _measure_group(state: StateVector, op, targets: tuple, basis: MeasurementBasis) -> _Group:
+    """Measuring `targets` of `state` in `basis`, after `op` on them if given.
+
+    Bases and operators, like in `apply_unitary`, are held by the key.
     """
     key = ("measure",) + _state_key(state) + (targets, basis)
-    if op is not None:
-        key += (op,)
-    # Each post-state entry holds this key, so it is charged the key bytes too.
-    return _memo_call(
-        key, 2 * state.amps.size + basis.dim, _measure_distribution, key, state, targets, basis, op
-    )
+    return _Group(key if op is None else key + (op,), (state,), targets, basis, op)
 
 
-def _post(step: _Step, basis: MeasurementBasis, outcome: int, prob: float) -> StateVector:
-    """The post state of `outcome` of a measurement step."""
-    return _memo_call(
-        (step.key, outcome), 2 * step.branch.size, _collapse,
-        basis, step.branch[outcome], prob, outcome, step.layout,
-    )
+def _swap_group(parts: tuple, targets: tuple, basis: MeasurementBasis, finish: tuple) -> _Group:
+    """Measuring `targets` of tensor(parts) in `basis`; results are recycled rests."""
+    key = ("swap",) + tuple(_state_key(part) for part in parts) + (targets, basis)
+    return _Group(key, parts, targets, basis, None, finish)
+
+
+def _pick(rng: Rng, group: _Group) -> tuple[int, StateVector, float]:
+    """One `rng.pick` on the group's probabilities: outcome, result, probability."""
+    outcome = rng.pick(group.step.probs)
+    return (outcome, *group.result(outcome))
+
+
+def _stage(
+    rounds: Iterable[tuple], draws: Iterable[float], build, results: bool = True
+) -> tuple[list[int], list[StateVector]]:
+    """One draw per round from the group `build(*inputs)` of its inputs.
+
+    Rounds whose input tuples hold the same objects share one group.
+    draws[i] is the first `random()` of round i's stream; the outcome is
+    the index `_pick` draws with that stream, bisected from the group's
+    edges. Returns the outcomes and, if `results`, their results (else an
+    empty list, each outcome still checked). A result a group holds was
+    checked when it was looked up.
+    """
+    groups: dict = {}
+    outcomes: list[int] = []
+    out: list[StateVector] = []
+    for inputs, u in zip(rounds, draws):
+        group = groups.get(inputs)
+        if group is None:
+            group = groups[inputs] = build(*inputs)
+        outcome = pick_index(group.edges, u)
+        outcomes.append(outcome)
+        if results:
+            result = group.results.get(outcome)
+            if result is None:
+                result = group.result(outcome)[0]
+            out.append(result)
+        else:
+            group.check(outcome)
+    return outcomes, out
 
 
 def measure(
@@ -494,9 +554,7 @@ def measure(
     outcome with a picker that returns it. A pick of probability below
     ZERO_PROB raises ZeroProbabilityError and stores no post state.
     """
-    step = _measure_step(state, tuple(targets), basis)
-    outcome, prob = _pick(rng, step)
-    return outcome, _post(step, basis, outcome, prob), prob
+    return _pick(rng, _measure_group(state, None, tuple(targets), basis))
 
 
 def measure_rounds(
@@ -506,33 +564,14 @@ def measure_rounds(
 ) -> tuple[list[int], list[StateVector]]:
     """One measurement per round: `op` on the targets if given, then `measure`.
 
-    Each round is (state, op or None, targets, basis), and draws[i] is the
-    first `random()` of round i's stream: the outcome is the one `measure`
-    picks with that stream, and the post state the one it returns, so
-    `apply_unitary` then `measure` gives the same floats. Rounds with the
-    same input objects share one step lookup and one post lookup per
-    outcome. Returns the outcomes and, if `posts`, the post states (an
-    empty list otherwise).
+    Each round is (state, op or None, targets as a tuple, basis), and
+    draws[i] is the first `random()` of round i's stream: the outcome is the
+    one `measure` picks with that stream, and the post state the one it
+    returns, so `apply_unitary` then `measure` gives the same floats. Rounds
+    with the same inputs share one step group. Returns the outcomes and, if
+    `posts`, the post states (an empty list otherwise).
     """
-    groups: dict = {}
-    outcomes: list[int] = []
-    out: list[StateVector] = []
-    for (state, op, targets, basis), u in zip(rounds, draws):
-        targets = tuple(targets)
-        group = groups.get((state, op, targets, basis))
-        if group is None:
-            group = groups[state, op, targets, basis] = (
-                _measure_step(state, targets, basis, op), {}
-            )
-        step, seen = group
-        outcome, prob = _pick_at(step, u)
-        outcomes.append(outcome)
-        if posts:
-            post = seen.get(outcome)
-            if post is None:
-                post = seen[outcome] = _post(step, basis, outcome, prob)
-            out.append(post)
-    return outcomes, out
+    return _stage(rounds, draws, _measure_group, posts)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

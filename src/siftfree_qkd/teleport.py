@@ -6,12 +6,14 @@ sender's entangled-measurement outcome. The sender's two qudits collapse
 onto the (k, l) basis vector, which two local Pauli factors turn back into
 the canonical pair: nothing is consumed except the classical outcome.
 
-Pair teleports and the middleman's triple measurement share one swap step,
-`_Swap`: measure in an entangled basis, split the measured group off,
-recycle it with the outcome's local Paulis and check it; none skips that.
-`teleport` and `teleport_ghz` draw with `rng.pick`; `teleport_rounds` and
-`teleport_ghz_rounds` run a protocol stage, one swap per group of rounds
-with the same inputs, and pick each round's outcome at its draw.
+This module holds the physics: each swap's argument checks, its entangled
+basis, recycle table and canonical state, and `recycle`. Pair teleports
+and the middleman's triple measurement are both a swap step group of
+`states` (measure in the entangled basis; each outcome's result is what
+`recycle` leaves once it has split, recycled and checked the measured
+group), so none skips the check. `teleport` and `teleport_ghz` are one
+group and one `rng.pick`; `teleport_rounds` and `teleport_ghz_rounds` run
+a protocol stage through the stage loop of `states`.
 """
 
 from __future__ import annotations
@@ -19,16 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import prod
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .bases import (
     bell_basis, bell_pair, bell_recycle_ops, ghz_basis, ghz_recycle_ops, ghz_state, pauli_matrix,
 )
 from .rng import Rng
 from .states import (
-    NORM_TOL, DimensionError, MeasurementBasis, StateVector, UnitaryOp, _Step,
-    _apply_unitary, _collapse, _memo_call, _pick, _pick_at, _state_key, _step, _tensor,
-    factor, fidelity,
+    NORM_TOL, DimensionError, StateVector, UnitaryOp, _pick, _stage, _swap_group, factor, fidelity,
 )
 
 __all__ = [
@@ -63,94 +63,19 @@ def recycle(
     into `canonical` up to global phase, or this raises AssertionError.
     """
     group, rest = factor(post, targets)
-    for op, label in zip(ops, targets[1:]):
-        group = _apply_unitary(group, op, (label,))
-    if fidelity(group, canonical) < 1.0 - NORM_TOL:
+    # Plain products, not `apply_unitary`: the swap group memoizes what
+    # recycling leaves, and the recycled group is never asked for again.
+    amps, dims = group.amps, group.dims
+    for axis, op in enumerate(ops, 1):
+        amps = op.matrix @ amps.reshape(prod(dims[:axis]), dims[axis], -1)
+    restored = StateVector(group.labels, dims, amps.reshape(-1))
+    if fidelity(restored, canonical) < 1.0 - NORM_TOL:
         raise AssertionError(f"recycled {list(targets)} failed to restore the canonical state")
     return rest
 
 
-def _swap_distribution(
-    key: tuple, parts: tuple[StateVector, ...], targets: tuple[str, ...], basis: MeasurementBasis
-) -> _Step:
-    """The step of measuring `targets` of tensor(parts) in `basis`."""
-    return _step(key, _tensor(parts), targets, basis)
-
-
-def _swap_rest(
-    targets: tuple[str, ...], basis: MeasurementBasis, branch_row, prob: float, outcome: int,
-    layout, ops: tuple[UnitaryOp, ...], canonical: Callable[[], StateVector],
-) -> StateVector:
-    """The post state of `outcome`, recycled and checked; what is left of it."""
-    post = _collapse(basis, branch_row, prob, outcome, layout)
-    return recycle(post, targets, ops, canonical())
-
-
-class _Swap:
-    """Measure `targets` of tensor(parts) in `basis`; recycle and check them.
-
-    Two lookups in the operation memo: the parts, targets and basis give
-    the step (the outcome distribution), and its key plus an outcome and
-    that outcome's operators recycle_ops[outcome] give the rest, so each
-    post state is checked once and a failed check stores nothing. Neither
-    entry keeps the joint state or the post state. The keys leave out
-    `canonical`, which the targets and their dimensions fix; it is built
-    only when a rest is computed. Rounds that swap the same parts share one
-    `_Swap`, and each outcome's rest is looked up once.
-    """
-
-    __slots__ = ("step", "held", "targets", "basis", "recycle_ops", "canonical", "rests")
-
-    def __init__(
-        self, parts: tuple[StateVector, ...], targets: tuple[str, ...], basis: MeasurementBasis,
-        recycle_ops: tuple[tuple[UnitaryOp, ...], ...], canonical: Callable[[], StateVector],
-    ):
-        key = ("swap",) + tuple(_state_key(part) for part in parts) + (targets, basis)
-        sizes = [part.amps.size for part in parts]
-        self.held = sum(sizes)
-        self.step = _memo_call(
-            key, self.held + prod(sizes) + basis.dim, _swap_distribution, key, parts, targets, basis
-        )
-        self.targets, self.basis = targets, basis
-        self.recycle_ops, self.canonical = recycle_ops, canonical
-        self.rests: dict[int, StateVector] = {}
-
-    def rest(self, outcome: int, prob: float) -> StateVector:
-        """What is left once `outcome`'s measured group is recycled and checked."""
-        rest = self.rests.get(outcome)
-        if rest is None:
-            step, ops = self.step, self.recycle_ops[outcome]
-            rest = self.rests[outcome] = _memo_call(
-                (step.key, outcome, ops), self.held + step.branch.size // self.basis.dim,
-                _swap_rest, self.targets, self.basis, step.branch[outcome], prob, outcome,
-                step.layout, ops, self.canonical,
-            )
-        return rest
-
-
-def _swap_rounds(
-    rounds: Iterable[tuple[StateVector, ...]], draws: Iterable[float], swap_args: Callable
-) -> tuple[list[int], list[StateVector]]:
-    """One swap per round of its parts, the outcome picked at its draw.
-
-    swap_args(*parts) validates a group's parts and gives the rest of its
-    `_Swap` arguments; it runs once per group of rounds with the same parts.
-    """
-    groups: dict[tuple[StateVector, ...], _Swap] = {}
-    outcomes: list[int] = []
-    rests: list[StateVector] = []
-    for parts, u in zip(rounds, draws):
-        swap = groups.get(parts)
-        if swap is None:
-            swap = groups[parts] = _Swap(parts, *swap_args(*parts))
-        outcome, prob = _pick_at(swap.step, u)
-        outcomes.append(outcome)
-        rests.append(swap.rest(outcome, prob))
-    return outcomes, rests
-
-
-def _teleport_args(input_state: StateVector, pair: StateVector, carrier: Optional[str]):
-    """Validate a teleport; its swap's targets, basis, recycle table and canonical pair."""
+def _teleport_group(input_state: StateVector, pair: StateVector, carrier: Optional[str] = None):
+    """Validate a teleport; the swap group of its Bell measurement."""
     if carrier is None:
         if len(input_state.labels) != 1:
             raise DimensionError("input must be a single qudit, or name its carrier")
@@ -163,7 +88,10 @@ def _teleport_args(input_state: StateVector, pair: StateVector, carrier: Optiona
     if set(input_state.labels) & set(pair.labels):
         raise DimensionError("input label collides with a pair label")
     targets = (carrier, pair.labels[0])
-    return targets, bell_basis(d), bell_recycle_ops(d), partial(bell_pair, d, targets)
+    return _swap_group(
+        (input_state, pair), targets, bell_basis(d),
+        (recycle, bell_recycle_ops(d), partial(bell_pair, d, targets)),
+    )
 
 
 def teleport(
@@ -179,10 +107,9 @@ def teleport(
     pair is recycled with `bell_recycle_ops` and checked against the
     canonical pair.
     """
-    swap = _Swap((input_state, pair), *_teleport_args(input_state, pair, carrier))
-    outcome, prob = _pick(rng, swap.step)
+    outcome, rest, prob = _pick(rng, _teleport_group(input_state, pair, carrier))
     k, l = divmod(outcome, pair.dims[0])
-    return TeleportOutcome(k, l, swap.rest(outcome, prob), prob)
+    return TeleportOutcome(k, l, rest, prob)
 
 
 def teleport_rounds(
@@ -196,7 +123,7 @@ def teleport_rounds(
     index k*d + l and its receiver state. Rounds with the same input and
     pair objects share one swap.
     """
-    return _swap_rounds(zip(inputs, pairs), draws, partial(_teleport_args, carrier=carrier))
+    return _stage(zip(inputs, pairs), draws, partial(_teleport_group, carrier=carrier))
 
 
 def correction_op(d: int, k: int, l: int) -> UnitaryOp:
@@ -204,8 +131,8 @@ def correction_op(d: int, k: int, l: int) -> UnitaryOp:
     return pauli_matrix(d, k % d, (-l) % d)
 
 
-def _ghz_args(flying: StateVector, ghz: StateVector):
-    """Validate a triple measurement; its swap's targets, basis, recycles, canonical state."""
+def _ghz_group(flying: StateVector, ghz: StateVector):
+    """Validate a triple measurement; the swap group of its GHZ-basis measurement."""
     if len(flying.labels) != 2 or flying.dims != (2, 2):
         raise DimensionError("flying register must be exactly two qubits")
     if len(ghz.labels) < 3 or ghz.dims[0] != 2:
@@ -213,7 +140,10 @@ def _ghz_args(flying: StateVector, ghz: StateVector):
     if set(flying.labels) & set(ghz.labels):
         raise DimensionError("flying labels collide with ghz labels")
     targets = flying.labels + ghz.labels[:1]
-    return targets, ghz_basis(), ghz_recycle_ops(), partial(ghz_state, targets)
+    return _swap_group(
+        (flying, ghz), targets, ghz_basis(),
+        (recycle, ghz_recycle_ops(), partial(ghz_state, targets)),
+    )
 
 
 def teleport_ghz(flying: StateVector, ghz: StateVector, rng: Rng) -> tuple[int, StateVector]:
@@ -227,9 +157,8 @@ def teleport_ghz(flying: StateVector, ghz: StateVector, rng: Rng) -> tuple[int, 
     the canonical GHZ state, as `teleport` does for pairs. `rng` picks the
     outcome as in `measure`.
     """
-    swap = _Swap((flying, ghz), *_ghz_args(flying, ghz))
-    outcome, prob = _pick(rng, swap.step)
-    return outcome, swap.rest(outcome, prob)
+    outcome, rest, _ = _pick(rng, _ghz_group(flying, ghz))
+    return outcome, rest
 
 
 def teleport_ghz_rounds(
@@ -240,4 +169,4 @@ def teleport_ghz_rounds(
     As `teleport_rounds`: returns each round's outcome and rest, and rounds
     with the same triple object share one swap.
     """
-    return _swap_rounds(((flying, ghz) for ghz in ghzs), draws, _ghz_args)
+    return _stage(((flying, ghz) for ghz in ghzs), draws, _ghz_group)

@@ -72,3 +72,23 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_import_is_used(path):
     tree = ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path)
     assert _unused_imports(tree) == []
+
+
+# The one private door between package modules: a teleport is a swap step
+# group of `states`, drawn once per call or once per stage round.
+PRIVATE_IMPORTS = {("teleport", "states"): {"_swap_group", "_stage", "_pick"}}
+
+
+def test_modules_import_no_private_names_but_the_allowed():
+    stray = []
+    for path in sorted((ROOT / "src/siftfree_qkd").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                allowed = PRIVATE_IMPORTS.get((path.stem, node.module), set())
+                stray += [
+                    f"{path.stem} <- {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name not in allowed
+                ]
+    assert stray == []

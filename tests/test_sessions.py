@@ -58,6 +58,10 @@ def test_config_validation():
     SessionConfig(d=37, m=2, key_length=4)
     with pytest.raises(ConfigError, match="too large"):
         SessionConfig(d=41, m=2, key_length=4)
+    # The cap is checked before primality, whose trial division would run
+    # for ages on a huge prime.
+    with pytest.raises(ConfigError, match="too large"):
+        SessionConfig(d=10**18 + 3, m=2, key_length=1)
     # An attacked link adds registers to the first teleport: d^2 for a
     # substituted pair (7^5 fits, 11^5 does not), the ancilla when purified.
     SessionConfig(d=7, m=2, key_length=4, channel=SubstitutedAttack())

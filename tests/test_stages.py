@@ -7,14 +7,16 @@ and that a stage returns what the per-round public calls return.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siftfree_qkd import (
     Loss,
+    MeasurementBasis,
     PurifiedAttack,
     Rng,
     SessionConfig,
@@ -43,7 +45,7 @@ from siftfree_qkd.sessions import (
     _R_TRIPLE,
     _Session,
 )
-from siftfree_qkd.states import MEMO_LIMIT, _pick, _pick_at, _Step, measure_rounds, memo_stats
+from siftfree_qkd.states import MEMO_LIMIT, ZERO_PROB, measure_rounds, memo_stats
 from siftfree_qkd.teleport import teleport_ghz_rounds, teleport_rounds
 
 from test_states import random_state
@@ -112,6 +114,34 @@ def test_session_draws_are_the_round_streams_first_draws(config, purposes, hops,
 _WEIGHT = st.one_of(st.just(0.0), st.just(0.25), st.floats(0.0, 1e3, allow_subnormal=False))
 
 
+def _group_of(weights):
+    """A builder of the step group measuring one qudit with the weights as probabilities.
+
+    The weights are normalized, and a single weight gets a zero beside it,
+    since a subsystem has dimension >= 2.
+    """
+    padded = weights + [0.0] if len(weights) < 2 else weights
+    amps = np.sqrt(np.asarray(padded) / sum(weights))
+    state = StateVector(("A",), (amps.size,), amps)
+    basis = MeasurementBasis(amps.size, np.eye(amps.size))
+    return lambda: states._measure_group(state, None, ("A",), basis)
+
+
+def _both_picks(group, u):
+    """The per-call and the stage pick at draw u: (outcome, post bytes) or the error."""
+
+    def outcome_of(pick):
+        try:
+            outcome, post = pick()
+        except ZeroProbabilityError as exc:
+            return str(exc)
+        return outcome, post.amps.tobytes()
+
+    per_call = outcome_of(lambda: states._pick(_Drawn(u), group())[:2])
+    staged = outcome_of(lambda: [x[0] for x in states._stage([()], [u], group)])
+    return per_call, staged
+
+
 @given(
     weights=st.lists(_WEIGHT, min_size=1, max_size=49),
     u=st.one_of(
@@ -121,41 +151,48 @@ _WEIGHT = st.one_of(st.just(0.0), st.just(0.25), st.floats(0.0, 1e3, allow_subno
 )
 @settings(max_examples=400, deadline=None)
 def test_stage_pick_is_rng_pick(weights, u, at_edge):
-    """Same outcome, probability and error as `Rng.pick` on the same draw.
+    """Same outcome, post state and error as `Rng.pick` on the same draw.
 
+    Both paths draw from one step group: the per-call pick calls
+    `rng.pick` on its probabilities, a stage round bisects its edges.
     Zero weights and repeated weights make tied edges; `at_edge` moves u
     onto an edge, where the bisect's side decides.
     """
-    probs = np.array(weights)
-    edges = cumulative(probs)
-    if at_edge < len(edges) and edges[-1] > 0 and edges[at_edge] < edges[-1]:
-        u = edges[at_edge] / edges[-1]
-    step = _Step((), None, probs, None, edges)
-
-    def outcome_of(pick):
-        try:
-            return pick()
-        except ZeroProbabilityError as exc:
-            return str(exc)
-
-    expected = outcome_of(lambda: _pick(_Drawn(u), step))
-    assert outcome_of(lambda: _pick_at(step, u)) == expected
-    # Both are numpy's cumsum and searchsorted(side="right"), clipped.
+    assume(sum(weights) > 0)
+    group = _group_of(weights)
+    with mock.patch.object(states, "_memo", MemoTable(MEMO_LIMIT)):
+        probs = group().step.probs
+        edges = cumulative(probs)
+        if at_edge < len(edges) and edges[at_edge] < edges[-1]:
+            u = edges[at_edge] / edges[-1]
+        per_call, staged = _both_picks(group, u)
+    assert staged == per_call
+    # Rng.pick is numpy's cumsum and searchsorted(side="right"), clipped.
     sums = np.cumsum(probs)
     index = min(int(np.searchsorted(sums, u * sums[-1], side="right")), len(probs) - 1)
     assert _Drawn(u).pick(probs) == index
-    if not isinstance(expected, str):
-        assert expected == (index, float(probs[index]))
+    if isinstance(per_call, str):
+        assert probs[index] < ZERO_PROB
+    else:
+        assert per_call[0] == index
 
 
-def test_stage_pick_raises_below_zero_prob():
-    tiny = np.array([1e-13, 0.0])
-    with pytest.raises(ZeroProbabilityError, match="outcome 0 has probability 1e-13"):
-        _pick_at(_Step((), None, tiny, None, cumulative(tiny)), 0.5)
+def test_stage_pick_raises_below_zero_prob(monkeypatch):
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
+    per_call, staged = _both_picks(_group_of([1e-13, 1.0 - 1e-13]), 0.5e-13)
+    assert per_call == staged
+    assert re.fullmatch(r"outcome 0 has probability \S+e-14, below 1e-12", per_call)
+    tiny = StateVector(("A",), (2,), np.sqrt([1e-13, 1.0 - 1e-13]))
+    with pytest.raises(ZeroProbabilityError, match="outcome 0 has probability"):
+        measure_rounds([(tiny, None, ("A",), computational_basis(2))], [0.0], posts=False)
+    # Only steps were stored (one per basis object), no post state.
+    assert [key[0] for key in states._memo._entries] == ["measure", "measure"]
     # Zero weights are never picked while a positive one is left.
-    probs = np.array([0.0, 1.0, 0.0])
-    step = _Step((), None, probs, None, cumulative(probs))
-    assert _pick_at(step, 0.0) == _pick_at(step, 1.0 - 2.0**-53) == (1, 1.0)
+    zeros = StateVector(("A", "B"), (3, 2), [0, 0, 1, 0, 0, 0])
+    for u in (0.0, 1.0 - 2.0**-53):
+        outcome, post, prob = measure(zeros, ("A",), computational_basis(3), _Drawn(u))
+        assert (outcome, prob) == (1, 1.0)
+        assert measure_rounds([(zeros, None, ("A",), computational_basis(3))], [u])[0] == [1]
 
 
 def _states_and_streams(n, seed):
