@@ -3,7 +3,8 @@
 Values come from ExperimentSpec's defaults, then an optional flat key=value
 config file, then command line flags, highest precedence last. When no --out
 path is given the summary document goes to stdout. Exit status is 0 on success,
-2 for configuration problems, 3 for I/O problems.
+2 for configuration problems (a configuration too large for the available
+memory among them), 3 for I/O problems.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: this configuration needs more memory than is available", file=sys.stderr)
         return 2
     if spec.output_path:
         print(

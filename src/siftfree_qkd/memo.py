@@ -68,13 +68,13 @@ class MemoTable:
             return slot[0]
 
     def put(self, key, value, cost: int = 1) -> None:
-        """Store `value`; one costing more than the whole limit is not kept."""
-        if cost > self.limit:
-            return
+        """Store `value` under `key`; at a cost over the whole limit, drop `key` instead."""
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._held -= old[1]
+            if cost > self.limit:
+                return
             self._entries[key] = (value, cost)
             self._held += cost
             while self._held > self.limit:

@@ -21,15 +21,16 @@ stored result is the one a fresh computation returns, bit for bit:
 the random stream sees the same floats and picks the same outcome. Failed
 calls are never stored. `memo_stats` reports how the table did.
 
-A measurement and an entanglement swap are one step group, `_Group`: one
-lookup for its step (the outcome distribution and its cumulative edges),
-then one per outcome drawn for its result. A measurement's result is the
-post state; a swap's is what `teleport.recycle` leaves once it has split,
-recycled and checked the measured group. `measure`, `teleport` and
-`teleport_ghz` are one group and one `rng.pick`. A protocol stage
-(`measure_rounds` and the teleport stages) is one loop, `_stage`: rounds
-with the same input objects share a group, and a round only bisects its
-group's edges at its draw, the same index `rng.pick` returns for that draw.
+A measurement and an entanglement swap are one step group, `_Group`, and
+one table entry under its step key: the outcome distribution with its
+cumulative edges, and the result of each outcome drawn so far. A
+measurement's result is the post state; a swap's is what `teleport.recycle`
+leaves once it has split, recycled and checked the measured group.
+`measure`, `teleport` and `teleport_ghz` are one group, one lookup and one
+`rng.pick`. A protocol stage (`measure_rounds` and the teleport stages) is
+one loop, `_stage`: rounds with the same input objects share a group, and a
+round only bisects its group's edges at its draw, the same index `rng.pick`
+returns for that draw.
 
 The public `StateVector` constructor checks everything. States the engine
 computes from checked states skip what the engine guarantees (label and
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, prod
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -78,21 +79,21 @@ ZERO_PROB = 1e-12
 MAX_AMPLITUDES = 2**16
 # Size limit of the operation memo, in units of one complex128 amplitude
 # (16 bytes), so 2**18 is 4 MiB as charged. An entry is charged for the
-# amplitudes it keeps alive (its key's bytes plus its result) plus
-# MEMO_ENTRY_COST for its Python objects (measured at about 0.8 KiB).
-# Entries share buffers (a measurement's post-state entries hold its
-# distribution's key, and one op's result is often the next op's key), so
-# the charge runs about 2x the amplitude bytes really held on the workloads
-# below, and about 1.3x on a full table from a noisy d=7 chain.
+# amplitudes it keeps alive (its key's bytes plus what it stores) plus
+# MEMO_ENTRY_COST per stored object (measured at about 0.8 KiB each). A step
+# group is one entry with its distribution and its outcome results. Entries
+# share buffers (one op's result is often the next op's key), so the
+# amplitude charge runs about 1.4x the amplitude bytes really held on the
+# workloads below, and about 1.1x on a full table from a noisy d=7 chain.
 # Protocol rounds revisit a finite set of states (prime-d rotations are
 # Clifford and channel kicks are Paulis, so every state is a stabilizer
 # state), and LRU over a cyclic working set larger than the table hits
 # almost nothing. So the limit must hold a whole session's set. Measured
 # with memo_stats() after repeated experiments, the sets stop growing at:
-# two_party d=3 substituted N=256, 413 entries / 54,032 units; third_party
-# trusted d=2 purified N=256, 1,331 / 102,680 units; pre_check d=2 loss,
-# 56 / 4,068 units. Noisy multi-hop runs at d=7 never settle and hit only a
-# few percent at any limit; for them a full table only costs memory (~2.2 MB
+# two_party d=3 substituted N=256, 206 entries / 45,365 units; third_party
+# trusted d=2 purified N=256, 634 / 91,044 units; pre_check d=2 loss,
+# 32 / 3,940 units. Noisy multi-hop runs at d=7 never settle and hit only a
+# few percent at any limit; for them a full table only costs memory (~2.6 MB
 # of amplitudes held at this limit).
 MEMO_LIMIT = 2**18
 MEMO_ENTRY_COST = 64
@@ -261,29 +262,29 @@ def _state_key(state: StateVector) -> tuple:
     return state.labels, state.dims, state.amps.base
 
 
-def _memo_call(key: tuple, size: int, compute, *args):
-    """`compute(*args)`, or the result stored under `key` by an earlier call.
+def _memo_call(key: tuple, held: int, compute, *args) -> StateVector:
+    """`compute(*args)`, or the state stored under `key` by an earlier call.
 
-    size is the amplitude count the entry keeps alive: the state bytes
-    inside `key` plus the arrays of the result, which each caller knows
-    before computing it. An exception propagates and leaves nothing stored.
+    held is the amplitude count of the states inside `key`; the entry is
+    charged for those, the result's amplitudes and MEMO_ENTRY_COST. An
+    exception propagates and leaves nothing stored.
     """
     value = _memo.get(key)
     if value is None:
         value = compute(*args)
-        _memo.put(key, value, size + MEMO_ENTRY_COST)
+        _memo.put(key, value, held + value.amps.size + MEMO_ENTRY_COST)
     return value
 
 
 def memo_stats() -> MemoStats:
     """Counters of the operation memo since the process started.
 
-    Every call of `tensor`, `apply_unitary` and `relabel` makes one lookup.
-    A step group (a measurement, or `teleport`'s swap) makes one for its
-    step and one per distinct outcome drawn from it, for the post state or
-    the recycled rest. `measure` and a teleport are one group and one draw,
-    so two lookups; a stage makes one group per set of rounds with the same
-    input objects.
+    Every call of `tensor`, `apply_unitary` and `relabel` makes one lookup,
+    and so does every step group (a measurement, or `teleport`'s swap): its
+    entry also holds the result of each outcome drawn from it so far, the
+    post state or the recycled rest. `measure` and a teleport are one group
+    and one draw, so one lookup; a stage makes one per set of rounds with
+    the same input objects.
     `held` is in the units of MEMO_LIMIT and never exceeds it.
     """
     return _memo.stats()
@@ -322,8 +323,7 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
     if not parts:
         raise LabelError("tensor needs at least one state")
     key = ("tensor",) + tuple(_state_key(part) for part in parts)
-    sizes = [part.amps.size for part in parts]
-    return _memo_call(key, sum(sizes) + prod(sizes), _tensor, parts)
+    return _memo_call(key, sum(part.amps.size for part in parts), _tensor, parts)
 
 
 def _target_axes(state: StateVector, targets: Sequence[str]) -> tuple[int, ...]:
@@ -382,79 +382,52 @@ def apply_unitary(state: StateVector, op: UnitaryOp, targets: Sequence[str]) -> 
     # Operators compare by identity, and the key's reference keeps the
     # operator alive, so a recycled id can never alias an entry.
     key = ("apply_unitary",) + _state_key(state) + (op, targets)
-    return _memo_call(key, 2 * state.amps.size, _apply_unitary, state, op, targets)
-
-
-class _Step(NamedTuple):
-    """A group's first lookup: the outcome distribution of one measurement.
-
-    key: its memo key, on which each outcome's key builds.
-    branch: row w is the unnormalized rest of outcome w.
-    probs: the Born probabilities the engine computed.
-    layout: how `_rebuild` puts a collapsed row back into a state.
-    edges: `cumulative(probs)`, the edges every draw bisects.
-    """
-
-    key: tuple
-    branch: np.ndarray
-    probs: np.ndarray
-    layout: tuple
-    edges: Sequence[float]
-
-
-def _step(key: tuple, parts: tuple, targets: tuple, basis: MeasurementBasis, op) -> _Step:
-    """Measure `targets` of tensor(parts) in `basis`, after `op` on them if given.
-
-    Computed on a miss; neither the joint nor the rotated state is kept.
-    """
-    state = parts[0] if len(parts) == 1 else _tensor(parts)
-    if op is not None:
-        state = _apply_unitary(state, op, targets)
-    mat, _, layout = _target_matrix(state, targets)
-    if mat.shape[0] != basis.dim:
-        raise DimensionError(f"basis dim {basis.dim} != target group dim {mat.shape[0]}")
-    branch = basis.vectors.conj() @ mat  # row w: unnormalized rest-state for outcome w
-    probs = np.einsum("wr,wr->w", branch, branch.conj()).real
-    return _Step(key, branch, probs, layout, cumulative(probs))
-
-
-def _collapse(step: _Step, basis: MeasurementBasis, outcome: int, prob: float) -> StateVector:
-    """The post state of `outcome`: the targets on its vector, the rest renormalized."""
-    rest = step.branch[outcome] / np.sqrt(prob)
-    return _rebuild(step.layout, np.multiply.outer(basis.vectors[outcome], rest))
+    return _memo_call(key, state.amps.size, _apply_unitary, state, op, targets)
 
 
 class _Group:
-    """A step of the operation memo, and the result of each outcome drawn from it.
+    """A step group: one measurement, and the result of each outcome drawn.
 
-    Two lookups. The step's key holds the input states' labels, dimensions
-    and amplitude bytes, the targets, the basis and any operator. An
-    outcome's key adds the outcome, and its result is looked up once per
-    group, then kept in `results`. Each entry is charged for the input
-    amplitudes its key holds plus the amplitudes it stores.
+    One table entry, under its step key: the input states' labels,
+    dimensions and amplitude bytes, the targets, the basis, any operator
+    and a swap's recycle table. It keeps the outcome distribution, not the
+    joint state: `branch` row w is outcome w's unnormalized rest, `probs`
+    the engine's Born probabilities, `edges` their cumulative sums, and
+    `layout` what `_rebuild` needs. Each new result in `results` adds its
+    charge to `cost`, and the group is put again under its key.
 
     A measurement's result is its post state. A swap's `finish` is
-    (recycle, recycle_ops, canonical), and its result is what
-    recycle(post, targets, ops, canonical()) leaves once it has split the
-    measured group off, recycled it with ops = recycle_ops[outcome] and
-    checked it. The ops join the outcome's key; `canonical`, which the
-    targets and their dimensions fix, is built only on a miss.
+    (recycle, recycle_ops, canonical); its result is what
+    recycle(post, targets, recycle_ops[outcome], canonical()) leaves once
+    it has split off, recycled and checked the measured group.
     """
 
-    __slots__ = ("step", "edges", "results", "held", "targets", "basis", "finish")
+    __slots__ = (
+        "key", "branch", "probs", "edges", "layout", "results", "cost", "targets", "basis", "finish"
+    )
 
     def __init__(self, key: tuple, parts: tuple, targets: tuple, basis, op=None, finish=None):
-        sizes = [part.amps.size for part in parts]
-        self.held = sum(sizes)
-        self.step = _memo_call(
-            key, self.held + prod(sizes) + basis.dim, _step, key, parts, targets, basis, op
-        )
-        self.edges, self.results = self.step.edges, {}
-        self.targets, self.basis, self.finish = targets, basis, finish
+        """Measure `targets` of tensor(parts) in `basis`, after `op` on them if given.
+
+        Stores the group, not the joint or rotated state; an exception stores nothing.
+        """
+        state = parts[0] if len(parts) == 1 else _tensor(parts)
+        if op is not None:
+            state = _apply_unitary(state, op, targets)
+        mat, _, self.layout = _target_matrix(state, targets)
+        if mat.shape[0] != basis.dim:
+            raise DimensionError(f"basis dim {basis.dim} != target group dim {mat.shape[0]}")
+        self.branch = basis.vectors.conj() @ mat
+        self.probs = np.einsum("wr,wr->w", self.branch, self.branch.conj()).real
+        self.edges, self.results = cumulative(self.probs), {}
+        self.key, self.targets, self.basis, self.finish = key, targets, basis, finish
+        held = sum(part.amps.size for part in parts)
+        self.cost = held + self.branch.size + basis.dim + MEMO_ENTRY_COST
+        _memo.put(key, self, self.cost)
 
     def check(self, outcome: int) -> float:
         """The outcome's probability; ZeroProbabilityError below ZERO_PROB."""
-        prob = float(self.step.probs[outcome])
+        prob = float(self.probs[outcome])
         if prob < ZERO_PROB:
             raise ZeroProbabilityError(
                 f"outcome {outcome} has probability {prob!r}, below {ZERO_PROB}"
@@ -462,29 +435,19 @@ class _Group:
         return prob
 
     def result(self, outcome: int) -> tuple[StateVector, float]:
-        """The outcome's result and probability, checked before any lookup."""
+        """The outcome's result and probability; a failed check stores no result."""
         prob = self.check(outcome)
         result = self.results.get(outcome)
         if result is None:
-            step, held = self.step, self.held
-            if self.finish is None:
-                result = _memo_call(
-                    (step.key, outcome), held + step.branch.size,
-                    _collapse, step, self.basis, outcome, prob,
-                )
-            else:
-                ops = self.finish[1][outcome]
-                result = _memo_call(
-                    (step.key, outcome, ops), held + step.branch.size // self.basis.dim,
-                    self._rest, outcome, prob, ops,
-                )
+            rest = self.branch[outcome] / np.sqrt(prob)
+            result = _rebuild(self.layout, np.multiply.outer(self.basis.vectors[outcome], rest))
+            if self.finish is not None:
+                recycle, ops, canonical = self.finish
+                result = recycle(result, self.targets, ops[outcome], canonical())
             self.results[outcome] = result
+            self.cost += result.amps.size + MEMO_ENTRY_COST
+            _memo.put(self.key, self, self.cost)
         return result, prob
-
-    def _rest(self, outcome: int, prob: float, ops) -> StateVector:
-        recycle, _, canonical = self.finish
-        post = _collapse(self.step, self.basis, outcome, prob)
-        return recycle(post, self.targets, ops, canonical())
 
 
 def _measure_group(state: StateVector, op, targets: tuple, basis: MeasurementBasis) -> _Group:
@@ -492,19 +455,29 @@ def _measure_group(state: StateVector, op, targets: tuple, basis: MeasurementBas
 
     Bases and operators, like in `apply_unitary`, are held by the key.
     """
-    key = ("measure",) + _state_key(state) + (targets, basis)
-    return _Group(key if op is None else key + (op,), (state,), targets, basis, op)
+    key = ("measure",) + _state_key(state) + (targets, basis) + (() if op is None else (op,))
+    group = _memo.get(key)
+    return _Group(key, (state,), targets, basis, op) if group is None else group
 
 
 def _swap_group(parts: tuple, targets: tuple, basis: MeasurementBasis, finish: tuple) -> _Group:
-    """Measuring `targets` of tensor(parts) in `basis`; results are recycled rests."""
-    key = ("swap",) + tuple(_state_key(part) for part in parts) + (targets, basis)
-    return _Group(key, parts, targets, basis, None, finish)
+    """Measuring `targets` of tensor(parts) in `basis`; results are recycled rests.
+
+    The recycle table joins the key, since a group keeps its results. A
+    stored group takes the caller's `finish`, so every new result goes
+    through the `recycle` the caller passed.
+    """
+    key = ("swap",) + tuple(_state_key(part) for part in parts) + (targets, basis, finish[1])
+    group = _memo.get(key)
+    if group is None:
+        return _Group(key, parts, targets, basis, None, finish)
+    group.finish = finish
+    return group
 
 
 def _pick(rng: Rng, group: _Group) -> tuple[int, StateVector, float]:
     """One `rng.pick` on the group's probabilities: outcome, result, probability."""
-    outcome = rng.pick(group.step.probs)
+    outcome = rng.pick(group.probs)
     return (outcome, *group.result(outcome))
 
 
@@ -518,7 +491,7 @@ def _stage(
     the index `_pick` draws with that stream, bisected from the group's
     edges. Returns the outcomes and, if `results`, their results (else an
     empty list, each outcome still checked). A result a group holds was
-    checked when it was looked up.
+    checked when it was computed.
     """
     groups: dict = {}
     outcomes: list[int] = []
@@ -639,4 +612,4 @@ def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
 def relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
     """Rename subsystems; order and amplitudes are untouched."""
     key = ("relabel",) + _state_key(state) + (tuple(mapping.items()),)
-    return _memo_call(key, 2 * state.amps.size, _relabel, state, mapping)
+    return _memo_call(key, state.amps.size, _relabel, state, mapping)

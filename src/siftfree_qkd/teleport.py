@@ -9,11 +9,12 @@ the canonical pair: nothing is consumed except the classical outcome.
 This module holds the physics: each swap's argument checks, its entangled
 basis, recycle table and canonical state, and `recycle`. Pair teleports
 and the middleman's triple measurement are both a swap step group of
-`states` (measure in the entangled basis; each outcome's result is what
-`recycle` leaves once it has split, recycled and checked the measured
-group), so none skips the check. `teleport` and `teleport_ghz` are one
-group and one `rng.pick`; `teleport_rounds` and `teleport_ghz_rounds` run
-a protocol stage through the stage loop of `states`.
+`states`, one memo entry that measures in the entangled basis and keeps
+what `recycle` leaves of each outcome once it has split, recycled and
+checked the measured group. The recycle table is in the group's key, so
+no table skips the check. `teleport` and `teleport_ghz` are one lookup and
+one `rng.pick`; `teleport_rounds` and `teleport_ghz_rounds` run a protocol
+stage through the stage loop of `states`.
 """
 
 from __future__ import annotations

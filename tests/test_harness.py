@@ -221,6 +221,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_reports_a_configuration_too_large_for_memory(capsys):
+    # 2N rotation draws at N = 10^15 are 14.2 PiB, beyond any address space,
+    # so the allocation fails at once.
+    assert main(["--n", str(10**15)]) == 2
+    assert "needs more memory than is available" in capsys.readouterr().err
+
+
 def test_cli_rejects_certain_loss_before_running(monkeypatch, capsys):
     # Every carrier would be lost and retransmitted forever.
     def no_session(spec):

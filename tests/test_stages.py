@@ -161,7 +161,7 @@ def test_stage_pick_is_rng_pick(weights, u, at_edge):
     assume(sum(weights) > 0)
     group = _group_of(weights)
     with mock.patch.object(states, "_memo", MemoTable(MEMO_LIMIT)):
-        probs = group().step.probs
+        probs = group().probs
         edges = cumulative(probs)
         if at_edge < len(edges) and edges[at_edge] < edges[-1]:
             u = edges[at_edge] / edges[-1]
@@ -261,7 +261,9 @@ def test_warm_two_party_makes_under_one_lookup_per_round(monkeypatch):
     Two_party d=3 on the substituted channel at N=256, the benchmark's
     headline configuration: before stages it made 11 op-memo lookups per
     round, one per engine op. Stages look each distinct step up once, so
-    the count per round falls as N grows; here it is about 0.8.
+    the count per round falls as N grows. A group keeps the results of its
+    outcomes, so a warm stage makes one lookup per distinct step and none
+    per outcome; here it is about 0.4.
     """
     monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
     config = SessionConfig(d=3, m=2, key_length=256, seed=3, channel=SubstitutedAttack())
@@ -270,4 +272,4 @@ def test_warm_two_party_makes_under_one_lookup_per_round(monkeypatch):
     assert run_two_party(config) == first
     after = memo_stats()
     assert after.misses == before.misses
-    assert (after.hits - before.hits) / (2 * config.key_length) < 1
+    assert (after.hits - before.hits) / (2 * config.key_length) < 0.5

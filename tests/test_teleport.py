@@ -337,15 +337,47 @@ def test_every_mode_checks_every_recycle(mode, table, monkeypatch):
 
 @_CASES
 def test_failed_recycle_check_stores_nothing(mode, table, monkeypatch):
-    """On a warm table a failed run adds no entry, and a correct run still passes."""
+    """On a warm table a failed run stores no result, and a correct run still passes.
+
+    The wrong table keys a new swap group, which is stored with its
+    distribution and without the result that failed its check.
+    """
     monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
     first = _MODES[mode](_CONFIG)
     before = memo_stats()
+    warm = set(states._memo._entries)
     with monkeypatch.context() as patch:
         _wrong_tables(patch, table)
         with pytest.raises(AssertionError, match="canonical state"):
             _MODES[mode](_CONFIG)
     after = memo_stats()
     assert after.misses > before.misses  # the failed swap was computed, not stored
-    assert (after.entries, after.held) == (before.entries, before.held)
+    [key] = [key for key in states._memo._entries if key not in warm]
+    group, cost = states._memo._entries[key]
+    assert key[0] == "swap" and group.results == {}
+    assert after.entries == before.entries + 1
+    assert after.held == before.held + cost
     assert _MODES[mode](_CONFIG) == first
+
+
+def test_stored_swap_group_recycles_through_the_callers_recycle(monkeypatch):
+    """A group stored before `recycle` is replaced computes new results with the replacement.
+
+    A tracer wraps `teleport.recycle` while the table already holds swap
+    groups; every recycle must still reach it.
+    """
+    monkeypatch.setattr(states, "_memo", MemoTable(MEMO_LIMIT))
+    qudit = basis_state(3, 1, "A_in")
+    teleport(qudit, bell_pair(3), FixedOutcome(0))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return recycle(*args)
+
+    monkeypatch.setattr(teleport_module, "recycle", counted)
+    before = memo_stats()
+    for outcome in (4, 4, 0):
+        teleport(qudit, bell_pair(3), FixedOutcome(outcome))
+    assert memo_stats().misses == before.misses  # one stored group throughout
+    assert calls == [bell_recycle_ops(3)[4]]  # outcome 0 was stored before
